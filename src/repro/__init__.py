@@ -22,11 +22,10 @@ Quickstart::
 
 :class:`repro.api.CampaignSession` is the documented entry point for
 measurement campaigns and :func:`repro.api.evaluate_grid` for batched
-model-space sweeps; the legacy ``repro.harness.run_campaign()`` shim
-emits ``DeprecationWarning`` and will be removed in 2.0.
+model-space sweeps.
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 from repro.api import (  # noqa: E402  (re-export after docstring/version)
     CampaignConfig,

@@ -1,95 +1,16 @@
-"""Campaign orchestration: the full study in one call.
+"""The Figure 1 reference campaign.
 
-``run_campaign()`` measures every benchmark of every suite under every
-study variant on an A64FX node — the complete Figure 2 — and
 ``run_polybench_xeon()`` produces the icc/Xeon reference column that
-Figure 1 compares against.
-
-Both are thin wrappers over :class:`repro.harness.engine.
-CampaignEngine`; the documented entry point is
-:class:`repro.api.CampaignSession`, which adds parallel workers,
-persistent caching, resume, and typed progress events on the same
-deterministic core.  ``run_campaign()`` is deprecated (it emits a
-``DeprecationWarning``) and will be removed in 2.0.
+Figure 1 compares against, as a thin wrapper over
+:class:`repro.harness.engine.CampaignEngine`.  Measurement campaigns on
+A64FX go through :class:`repro.api.CampaignSession`.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Callable, Iterable, Sequence
-
-from repro.compilers.flags import CompilerFlags
-from repro.compilers.registry import STUDY_VARIANTS
-from repro.harness.engine import CampaignEngine, CampaignEvent, EventKind
+from repro.harness.engine import CampaignEngine
 from repro.harness.results import CampaignResult
-from repro.machine.machine import Machine
 from repro.machine.xeon import xeon
-from repro.suites.base import Benchmark, Suite
-
-
-def legacy_progress_adapter(
-    progress: Callable[[str, str], object],
-) -> Callable[[CampaignEvent], None]:
-    """Adapt an old-style ``progress(benchmark_name, variant)`` callable
-    to the typed :class:`CampaignEvent` stream (fires on cell dispatch,
-    matching the legacy loop's call timing)."""
-
-    def handler(event: CampaignEvent) -> None:
-        if event.kind is EventKind.CELL_STARTED:
-            progress(event.benchmark, event.variant)
-
-    return handler
-
-
-def run_campaign(
-    machine: Machine | None = None,
-    *,
-    variants: Sequence[str] = STUDY_VARIANTS,
-    suites: Iterable[Suite] | None = None,
-    benchmarks: Iterable[Benchmark] | None = None,
-    flags: CompilerFlags | None = None,
-    progress: "Callable[[str, str], object] | None" = None,
-) -> CampaignResult:
-    """Measure all (benchmark, variant) cells (serial, in-memory).
-
-    ``suites``/``benchmarks`` restrict the campaign; ``flags`` overrides
-    every variant's paper flags (for the flag-ablation studies).
-
-    .. deprecated:: 1.1
-        Use :class:`repro.api.CampaignSession`, which runs the same
-        deterministic engine and adds workers, persistent caching,
-        resume, and typed progress events::
-
-            CampaignSession(CampaignConfig(suites=("polybench",))).run()
-
-        The shim (and the old ``progress`` callback) will be removed
-        in 2.0.
-    """
-    warnings.warn(
-        "run_campaign() is deprecated and will be removed in 2.0; use "
-        'repro.api.CampaignSession(CampaignConfig(...)).run() instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    emit = None
-    if progress is not None:
-        warnings.warn(
-            "the progress(benchmark_name, variant) callback is deprecated; "
-            "use repro.api.CampaignSession and subscribe to its typed "
-            "CampaignEvent stream instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        emit = legacy_progress_adapter(progress)
-    engine = CampaignEngine(
-        machine,
-        variants=variants,
-        suites=suites,
-        benchmarks=benchmarks,
-        flags=flags,
-        workers=1,
-    )
-    return engine.run(emit=emit)
 
 
 def run_polybench_xeon() -> CampaignResult:

@@ -3,11 +3,10 @@ caching, and checkpoint/resume.
 
 The paper's full study is a 108-benchmark x 5-compiler grid whose 540
 cells are independent of one another (each cell runs its own
-exploration sweep and performance runs); ``run_campaign()`` walked them
-in one blocking serial loop.  :class:`CampaignEngine` decomposes the
-grid into :class:`CellTask` s and executes them
+exploration sweep and performance runs).  :class:`CampaignEngine`
+decomposes the grid into :class:`CellTask` s and executes them
 
-* serially (``workers=1``), bit-identical to the legacy loop, or
+* serially (``workers=1``) in-process, or
 * across worker processes (``concurrent.futures.ProcessPoolExecutor``),
   chunked benchmark-major so a worker reuses compiled kernels across
   the five variants of a benchmark.
@@ -32,8 +31,7 @@ Persistence has three layers, all rooted at ``cache_dir``:
   remainder, so a sweep sharded across nodes (``shard=(i, n)``) can be
   picked back up from any of them.
 
-Progress is reported through typed :class:`CampaignEvent` s instead of
-the old positional ``progress(benchmark, variant)`` callback.
+Progress is reported through typed :class:`CampaignEvent` s.
 
 Observability: with a :class:`repro.telemetry.Telemetry` attached the
 engine records a root ``campaign`` span, a ``cell`` span per executed
@@ -390,11 +388,6 @@ class CellCache:
 
 # -- worker side ---------------------------------------------------------
 
-#: Per-worker-process compilation caches, keyed by (machine, cache dir)
-#: so consecutive chunks in the same worker share compiled kernels.
-_WORKER_CACHES: dict[tuple[str, str], CompilationCache] = {}
-
-
 def _run_chunk(
     payload: tuple,
 ) -> "tuple[list[tuple[int, CellOutcome]], dict | None, list[dict] | None]":
@@ -426,14 +419,9 @@ def _run_chunk(
             crash = injector.decide(SITE_WORKER, bench.full_name, variant, chunk_attempt)
             if crash is not None:
                 os._exit(3)  # simulate the worker dying mid-chunk
-    cache_key = (machine.name, str(kernel_dir))
-    cache = _WORKER_CACHES.get(cache_key)
-    if cache is None:
-        cache = CompilationCache(persist_dir=kernel_dir)
-        _WORKER_CACHES[cache_key] = cache
-    # The cache outlives chunks (and campaigns) in this worker; aim the
-    # current campaign's injector at it for kernel-cache chaos.
-    cache.injector = injector
+    # One cache per chunk: the chunk's kernels were unpickled afresh, so
+    # nothing an earlier chunk cached in memory can belong to them.
+    cache = CompilationCache(persist_dir=kernel_dir, injector=injector)
     tel = Telemetry() if telemetry_on else None
     logger = StructuredLogger() if log_ctx is not None else None
     out: list[tuple[int, CellOutcome]] = []
@@ -476,8 +464,8 @@ class CellTask:
 class CampaignEngine:
     """Decomposes a campaign into cell tasks and executes them.
 
-    Parameters mirror the legacy ``run_campaign()`` surface plus the
-    execution controls:
+    Parameters name the campaign (machine, variants, suites or
+    benchmarks, flags, runs) plus the execution controls:
 
     ``workers``
         1 (default) runs the deterministic serial loop in-process;

@@ -11,26 +11,22 @@ needs power-of-two ranks; OpenMP-only codes keep one rank; weak-scaling
 codes (miniAMR, XSBench) skip exploration and use the recommended
 placement.
 
-This module is now a thin shim over the :mod:`repro.tuning` subsystem:
-the candidate set comes from
-:func:`repro.tuning.space.benchmark_placements`, and :func:`explore`
-drives a :class:`repro.tuning.strategies.GridStrategy` over a one-axis
-placement space.  The arithmetic (per-trial noise keys, best-of-three
-minimum, first-wins strict-``<`` tie-break in candidate order) is
-bit-identical to the original in-line sweep — ``explore()`` winners are
-a compatibility contract the golden campaign results depend on.
+The auto-tuning package re-exports the candidate set (as
+``benchmark_placements``), :func:`fastest_of` and :func:`select_best`;
+its search strategies break ties with the same :func:`select_best`.
+``explore()`` winners are a compatibility contract the golden campaign
+results depend on.
 """
 
 from __future__ import annotations
 
 from repro.compilers.flags import CompilerFlags
 from repro.machine.machine import Machine
-from repro.machine.topology import Placement
+from repro.machine.topology import Placement, candidate_placements
 from repro.perf.batch import evaluate_placements
 from repro.perf.cost import CompilationCache, ModelResult
-from repro.suites.base import Benchmark
-from repro.tuning.space import benchmark_placements, placement_space
-from repro.tuning.strategies import GridStrategy, fastest_of
+from repro.perf.noise import noise_multiplier
+from repro.suites.base import Benchmark, ParallelKind, ScalingKind
 
 #: Trial runs per placement candidate (Sec. 2.4).
 EXPLORATION_TRIALS = 3
@@ -39,11 +35,74 @@ EXPLORATION_TRIALS = 3
 def placement_candidates(bench: Benchmark, machine: Machine) -> tuple[Placement, ...]:
     """The placements the exploration phase tries for one benchmark.
 
-    Delegates to :func:`repro.tuning.space.benchmark_placements`; kept
-    as the harness-facing name (the candidate order is part of the
-    winner-compatibility contract).
+    This is the paper's Sec. 2.4 candidate set, honouring each
+    benchmark's constraints (see the module docstring).  The candidate
+    order is a compatibility contract: first-wins tie-breaks make
+    winners order-sensitive.
     """
-    return benchmark_placements(bench, machine)
+    topo = machine.topology
+    if bench.pinned_single_core or bench.parallel is ParallelKind.SERIAL:
+        return (Placement(1, 1),)
+    if bench.scaling is ScalingKind.WEAK:
+        # Weak-scaling codes are excluded from the sweep (Sec. 2.4).
+        return (machine.recommended_placement(),)
+    if bench.parallel is ParallelKind.OPENMP:
+        threads: list[int] = []
+        t = 1
+        while t <= topo.total_cores:
+            threads.append(t)
+            t *= 2
+        if topo.cores_per_domain not in threads:
+            threads.append(topo.cores_per_domain)
+        if topo.total_cores not in threads:
+            threads.append(topo.total_cores)
+        return tuple(Placement(1, t) for t in sorted(set(threads)))
+    if bench.parallel is ParallelKind.MPI:
+        ranks: list[int] = []
+        r = 1
+        while r <= topo.total_cores:
+            ranks.append(r)
+            r *= 2
+        if topo.numa_domains not in ranks:
+            ranks.append(topo.numa_domains)
+        if topo.total_cores not in ranks:
+            ranks.append(topo.total_cores)
+        if bench.pow2_ranks:
+            ranks = [x for x in ranks if not x & (x - 1)]
+        return tuple(Placement(x, 1) for x in sorted(set(ranks)))
+    return candidate_placements(topo, pow2_ranks_only=bench.pow2_ranks)
+
+
+def fastest_of(time_s: float, cv: float, trials: int, *key_parts: object) -> float:
+    """Fastest of ``trials`` noisy observations of one model time.
+
+    Trial ``i`` multiplies ``time_s`` by the deterministic
+    :func:`~repro.perf.noise.noise_multiplier` keyed on
+    ``(*key_parts, i)``; the minimum is the score — the exploration
+    phase's best-of-three arithmetic.  Trial indices always start at 0:
+    evaluating the same key at a higher fidelity *extends* the trial
+    set, so scores improve monotonically across successive-halving
+    rungs.
+    """
+    return min(
+        time_s * noise_multiplier(cv, *key_parts, trial)
+        for trial in range(trials)
+    )
+
+
+def select_best(candidates, scores) -> int:
+    """Index of the winner: first strictly-smallest score in order."""
+    best_index = -1
+    best_score = float("inf")
+    for i, score in enumerate(scores):
+        if score < best_score:
+            best_score = score
+            best_index = i
+    if best_index < 0:
+        # All-inf scores (every build failed): first candidate, the same
+        # convention the exploration phase uses for failed cells.
+        best_index = 0
+    return best_index
 
 
 def explore(
@@ -82,13 +141,8 @@ def explore(
         # and the first *candidate*, which is legal by construction.
         return candidates[0], (), models[0]
 
-    # The grid strategy over the one-axis placement space proposes the
-    # candidates in their canonical order and applies the historical
-    # first-wins strict-< tie-break; the scores are the paper's
-    # best-of-three noisy trials, computed with the same operations in
-    # the same order as the original in-line loop.
-    gen = GridStrategy(trials=EXPLORATION_TRIALS).run(placement_space(candidates))
-    batch = next(gen)
+    # The paper's best-of-three noisy trials per candidate; the first
+    # strictly-fastest candidate wins.
     scores = tuple(
         fastest_of(
             model.time_s,
@@ -101,15 +155,9 @@ def explore(
         )
         for placement, model in zip(candidates, models)
     )
-    try:
-        gen.send(scores)
-        raise AssertionError("grid strategy must finish after one batch")
-    except StopIteration as stop:
-        winner = stop.value
-    winner_index = next(i for i, cand in enumerate(batch) if cand is winner)
-
+    best = select_best(candidates, scores)
     log = tuple(
         (placement.ranks, placement.threads, score)
         for placement, score in zip(candidates, scores)
     )
-    return candidates[winner_index], log, models[winner_index]
+    return candidates[best], log, models[best]

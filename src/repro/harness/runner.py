@@ -7,7 +7,7 @@ When telemetry is active, each cell's two phases are traced as
 ``cell`` span) with per-phase latency histograms and run counters.
 
 :func:`run_cell` is the resilient wrapper the engine executes:
-:func:`run_benchmark` under a per-cell wall-clock budget, fault
+:func:`measure_benchmark` under a per-cell wall-clock budget, fault
 injection (chaos runs), transient-vs-permanent classification, and a
 seeded retry/backoff loop.  It never raises for a cell-level failure —
 every outcome degrades to a structured :class:`RunRecord` so a
@@ -17,7 +17,6 @@ campaign always completes with a (possibly partial) result.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro import telemetry
@@ -56,35 +55,6 @@ _STATUS_MAP = {
     CompileStatus.COMPILE_ERROR: STATUS_COMPILE_ERROR,
     CompileStatus.RUNTIME_FAULT: STATUS_RUNTIME_ERROR,
 }
-
-
-def run_benchmark(
-    bench: Benchmark,
-    variant: str,
-    machine: Machine,
-    *,
-    flags: CompilerFlags | None = None,
-    cache: CompilationCache | None = None,
-    runs: int = PERFORMANCE_RUNS,
-) -> RunRecord:
-    """Deprecated shim over :func:`measure_benchmark`.
-
-    .. deprecated:: 1.1
-        Use ``CampaignSession(CampaignConfig(benchmarks=(name,),
-        variants=(variant,))).run()`` for measurement campaigns, or
-        :func:`measure_benchmark` for a single bare cell.  The shim
-        will be removed in 2.0.
-    """
-    warnings.warn(
-        "run_benchmark() is deprecated and will be removed in 2.0; use "
-        "repro.api.CampaignSession (or repro.harness.measure_benchmark "
-        "for a single cell)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return measure_benchmark(
-        bench, variant, machine, flags=flags, cache=cache, runs=runs
-    )
 
 
 def measure_benchmark(

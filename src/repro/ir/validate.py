@@ -11,8 +11,7 @@ Findings are reported as :class:`~repro.staticanalysis.diagnostics.Diagnostic`
 objects under the same stable rule IDs the lint driver uses —
 ``STRUCT001`` for structural problems, ``BND002`` for out-of-bounds
 subscripts — so the ``repro lint`` pipeline and the construction-time
-validator cannot drift apart.  :func:`validate_kernel_strings` keeps
-the historical plain-string form for callers that only want messages.
+validator cannot drift apart.
 """
 
 from __future__ import annotations
@@ -98,16 +97,6 @@ def validate_kernel(kernel: Kernel) -> list[Diagnostic]:
             declared[arr.name] = sig
         problems.extend(validate_nest(nest))
     return [d.with_kernel(kernel.name) for d in problems]
-
-
-def validate_nest_strings(nest: LoopNest) -> list[str]:
-    """Back-compat shim: nest problems as plain message strings."""
-    return [d.message for d in validate_nest(nest)]
-
-
-def validate_kernel_strings(kernel: Kernel) -> list[str]:
-    """Back-compat shim: kernel problems as plain message strings."""
-    return [d.message for d in validate_kernel(kernel)]
 
 
 def check_kernel(kernel: Kernel) -> None:

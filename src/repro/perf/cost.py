@@ -195,10 +195,12 @@ class CompilationCache:
         persist_dir: "str | Path | None" = None,
         injector: "object | None" = None,
     ) -> None:
-        self._cache: dict[tuple, CompiledKernel] = {}
-        #: id(kernel) -> stable fingerprint memo (fingerprinting walks
-        #: the whole IR; do it once per kernel object).
-        self._stable_keys: dict[tuple, str] = {}
+        #: Both tables are keyed on id(kernel) and pin the kernel, so an
+        #: id cannot be recycled by another kernel while an entry lives.
+        self._cache: dict[tuple, tuple[object, CompiledKernel]] = {}
+        #: Stable fingerprint memo (fingerprinting walks the whole IR;
+        #: do it once per kernel object).
+        self._stable_keys: dict[tuple, tuple[object, str]] = {}
         self.persist_dir = Path(persist_dir) if persist_dir is not None else None
         if self.persist_dir is not None:
             self.persist_dir.mkdir(parents=True, exist_ok=True)
@@ -223,15 +225,18 @@ class CompilationCache:
     ) -> CompiledKernel:
         key = (variant, id(kernel), machine.name, flags)
         hit = self._cache.get(key)
-        if hit is not None:
+        if hit is not None and hit[0] is kernel:
             self.memory_hits += 1
             telemetry.count("kernel_cache.memory_hit")
-            return hit
+            return hit[1]
+        stable = None
         if self.persist_dir is not None:
-            stable = self._stable_keys.get(key)
-            if stable is None:
+            memo = self._stable_keys.get(key)
+            if memo is not None and memo[0] is kernel:
+                stable = memo[1]
+            else:
                 stable = compilation_cache_key(variant, kernel, machine, flags)
-                self._stable_keys[key] = stable
+                self._stable_keys[key] = (kernel, stable)
             path = self._disk_path(stable)
             if self._kernel_cache_fault(variant, kernel):
                 # Injected kernel-cache loss (simulated scratch-file
@@ -248,18 +253,16 @@ class CompilationCache:
                         compiled = pickle.load(fh)
                     self.disk_hits += 1
                     telemetry.count("kernel_cache.disk_hit")
-                    self._cache[key] = compiled
+                    self._cache[key] = (kernel, compiled)
                     return compiled
                 except (OSError, pickle.PickleError, EOFError, AttributeError):
                     pass  # missing or unreadable entry: recompile below
         compiled = _memoized_compile(variant, kernel, machine, flags)
         self.compile_count += 1
         telemetry.count("kernel_cache.compile")
-        self._cache[key] = compiled
-        if self.persist_dir is not None:
-            self._persist(self._stable_keys[key] if key in self._stable_keys
-                          else compilation_cache_key(variant, kernel, machine, flags),
-                          compiled)
+        self._cache[key] = (kernel, compiled)
+        if stable is not None:
+            self._persist(stable, compiled)
         return compiled
 
     def _kernel_cache_fault(self, variant: str, kernel: object) -> bool:

@@ -1,9 +1,8 @@
-"""The asyncio HTTP/JSON front end of the campaign service.
+"""The HTTP/JSON front end of the campaign service.
 
-A deliberately small HTTP/1.1 server over ``asyncio.start_server`` —
-stdlib only, same spirit as the observatory's read-side
-:class:`~repro.telemetry.httpd.ObservatoryServer`, but async because
-the scheduler it fronts is an event-loop citizen.  Routes:
+The service's route table on the repository's one HTTP/1.1 server,
+:class:`repro.telemetry.httpd.HttpServer` (request parsing and limits,
+JSON/text responses, status mapping, the event-loop thread).  Routes:
 
 ``POST /campaigns``
     Submit a campaign (JSON body, see :func:`repro.service.config
@@ -26,49 +25,36 @@ the scheduler it fronts is an event-loop citizen.  Routes:
 ``GET /healthz``
     Liveness.
 
-The server owns its event loop in a daemon thread, so synchronous
-callers (the CLI, tests, the service gauntlet) start it with
+The scheduler runs on the server's event loop, so synchronous callers
+(the CLI, tests, the service gauntlet) start the service with
 ``service.start()`` and talk plain HTTP to ``service.port``.  Binding
 port 0 and reporting the kernel-assigned port is the supported way to
-avoid port collisions (the CLI's default).
+avoid port collisions (the CLI's default); a taken fixed port fails
+the start.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
-import threading
 from pathlib import Path
 
 from repro import telemetry
 from repro.service.config import ServiceError, spec_from_dict
 from repro.service.metrics import render_service_metrics
 from repro.service.scheduler import CampaignScheduler
-
-#: Request-line/body guards: this is a trusted-network control plane,
-#: not an internet-facing server, but malformed input still gets a
-#: clean 4xx instead of an exception.
-_MAX_REQUEST_LINE = 4096
-_MAX_HEADERS = 64
-_MAX_BODY = 1 << 20
-
-_STATUS_TEXT = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 413: "Payload Too Large",
-    500: "Internal Server Error",
-}
-
-
-class _HttpError(Exception):
-    """A client error with a status code, rendered as a JSON body."""
-
-    def __init__(self, status: int, message: str) -> None:
-        super().__init__(message)
-        self.status = status
+from repro.telemetry.httpd import (
+    PROM_CONTENT_TYPE,
+    HttpError,
+    HttpServer,
+    respond_json,
+    respond_text,
+)
 
 
 class CampaignService:
-    """The campaign service: scheduler + asyncio HTTP front end."""
+    """The campaign service: scheduler + HTTP front end."""
 
     def __init__(
         self,
@@ -85,74 +71,40 @@ class CampaignService:
         self._resume = resume
         self._workers = workers
         self.scheduler: "CampaignScheduler | None" = None
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._server: "asyncio.Server | None" = None
-        self._thread: "threading.Thread | None" = None
-        self._ready = threading.Event()
-        self._startup_error: "BaseException | None" = None
-        self._port: "int | None" = None
+        self._http = HttpServer(self._route, name="campaign-service")
 
     # -- lifecycle -------------------------------------------------------
 
     @property
     def port(self) -> int:
         """The bound port (the kernel's pick when constructed with 0)."""
-        if self._port is None:
+        if self._http.port is None:
             raise ServiceError("service is not running")
-        return self._port
+        return self._http.port
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "CampaignService":
-        """Boot the event loop thread; returns once the socket is bound
-        and registry resume (if any) has been kicked off."""
-        if self._thread is not None:
+        """Bind and serve; returns once the socket is bound and registry
+        resume (if any) has been kicked off."""
+        if self._http.loop is not None:
             raise ServiceError("service already started")
-        self._thread = threading.Thread(
-            target=self._thread_main, name="campaign-service", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise ServiceError(
-                f"service failed to start: {self._startup_error}"
+        try:
+            self.scheduler = CampaignScheduler(
+                self.cache_dir, workers=self._workers
             )
-        if self._port is None:
-            raise ServiceError("service did not come up within 30s")
+            self._http.start(self.host, self._requested_port,
+                             setup=self._started)
+        except Exception as exc:
+            raise ServiceError(f"service failed to start: {exc}") from exc
         return self
 
-    def _thread_main(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._startup())
-        except BaseException as exc:  # noqa: BLE001 - reported to start()
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            try:
-                loop.run_until_complete(self._shutdown())
-            finally:
-                loop.close()
-
-    async def _startup(self) -> None:
-        self.scheduler = CampaignScheduler(
-            self.cache_dir, workers=self._workers
-        )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
-        telemetry.set_gauge("service.port", self._port)
+    async def _started(self) -> None:
+        telemetry.set_gauge("service.port", self.port)
         telemetry.log_event("service.started", host=self.host,
-                            port=self._port, workers=self._workers)
+                            port=self.port, workers=self._workers)
         if self._resume:
             resumed = self.scheduler.resume_pending()
             if resumed:
@@ -166,154 +118,46 @@ class CampaignService:
         ``graceful=False`` abandons them mid-flight (they stay
         ``running`` in the registry, so the next start resumes them —
         the restart path the service gauntlet exercises)."""
-        loop, thread = self._loop, self._thread
-        if loop is None or thread is None:
+        loop = self._http.loop
+        if loop is None:
             return
         if graceful:
-            deadline = threading.Event()
-
-            async def _drain() -> None:
-                sched = self.scheduler
-                if sched is not None:
-                    tasks = [c.task for c in sched.campaigns.values()
-                             if c.task is not None and not c.task.done()]
-                    if tasks:
-                        await asyncio.wait(tasks, timeout=timeout)
-                deadline.set()
-
-            asyncio.run_coroutine_threadsafe(_drain(), loop)
-            deadline.wait(timeout=timeout + 5)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
+            drained = asyncio.run_coroutine_threadsafe(
+                self._drain(timeout), loop)
+            concurrent.futures.wait([drained], timeout=timeout + 5)
+        self._http.stop(teardown=self._cancel_campaigns)
         if self.scheduler is not None:
             self.scheduler.shutdown_pool(wait=graceful)
-        self._loop = None
-        self._thread = None
-        self._port = None
 
-    async def _shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        sched = self.scheduler
-        if sched is not None:
-            for c in sched.campaigns.values():
-                if c.task is not None and not c.task.done():
-                    c.task.cancel()
-            await asyncio.gather(
-                *(c.task for c in sched.campaigns.values()
-                  if c.task is not None),
-                return_exceptions=True,
-            )
+    async def _drain(self, timeout: float) -> None:
+        tasks = [c.task for c in self.scheduler.campaigns.values()
+                 if c.task is not None and not c.task.done()]
+        if tasks:
+            await asyncio.wait(tasks, timeout=timeout)
 
-    # -- HTTP plumbing ---------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            try:
-                method, path, headers = await self._read_head(reader)
-                body = await self._read_body(reader, headers)
-            except _HttpError as exc:
-                await self._respond_error(writer, exc)
-                return
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            telemetry.count("service.http_requests")
-            try:
-                await self._route(writer, method, path, body)
-            except _HttpError as exc:
-                await self._respond_error(writer, exc)
-            except ServiceError as exc:
-                await self._respond_error(writer, _HttpError(400, str(exc)))
-            except ConnectionError:
-                pass
-            except Exception as exc:  # noqa: BLE001 - 500, never a hung socket
-                telemetry.count("service.http_errors")
-                telemetry.log_event("service.http_error", error=str(exc))
-                await self._respond_error(
-                    writer, _HttpError(500, f"{type(exc).__name__}: {exc}")
-                )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_head(self, reader):
-        line = await reader.readline()
-        if len(line) > _MAX_REQUEST_LINE:
-            raise _HttpError(400, "request line too long")
-        parts = line.decode("latin-1").split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _HttpError(400, "malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        else:
-            raise _HttpError(400, "too many headers")
-        return method, path.split("?", 1)[0], headers
-
-    async def _read_body(self, reader, headers: dict) -> bytes:
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
-        if length < 0 or length > _MAX_BODY:
-            raise _HttpError(413, f"body larger than {_MAX_BODY} bytes")
-        if length == 0:
-            return b""
-        return await reader.readexactly(length)
-
-    async def _respond(self, writer, status: int, doc,
-                       *, close: bool = True) -> None:
-        body = (json.dumps(doc, indent=2) + "\n").encode()
-        writer.write(
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n".encode() + body
+    async def _cancel_campaigns(self) -> None:
+        campaigns = self.scheduler.campaigns.values()
+        for c in campaigns:
+            if c.task is not None and not c.task.done():
+                c.task.cancel()
+        await asyncio.gather(
+            *(c.task for c in campaigns if c.task is not None),
+            return_exceptions=True,
         )
-        await writer.drain()
-
-    async def _respond_text(self, writer, status: int, text: str,
-                            content_type: str) -> None:
-        body = text.encode()
-        writer.write(
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n".encode() + body
-        )
-        await writer.drain()
-
-    async def _respond_error(self, writer, exc: _HttpError) -> None:
-        try:
-            await self._respond(writer, exc.status, {"error": str(exc)})
-        except (ConnectionError, OSError):
-            pass
 
     # -- routing ---------------------------------------------------------
 
     async def _route(self, writer, method: str, path: str, body: bytes):
+        telemetry.count("service.http_requests")
         sched = self.scheduler
-        assert sched is not None
         parts = [p for p in path.split("/") if p]
         if path == "/healthz":
-            await self._respond(writer, 200, {"ok": True})
+            await respond_json(writer, 200, {"ok": True})
         elif path == "/stats" and method == "GET":
-            await self._respond(writer, 200, sched.stats_snapshot())
+            await respond_json(writer, 200, sched.stats_snapshot())
         elif path == "/metrics" and method == "GET":
-            await self._respond_text(
-                writer, 200, render_service_metrics(sched),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
+            await respond_text(writer, 200, render_service_metrics(sched),
+                               PROM_CONTENT_TYPE)
         elif parts[:1] == ["campaigns"] and len(parts) == 1:
             if method == "POST":
                 await self._post_campaign(writer, body)
@@ -321,24 +165,26 @@ class CampaignService:
                 docs = [sched.campaign_doc(c)
                         for c in sched.campaigns.values()]
                 docs.sort(key=lambda d: d["submitted_at"], reverse=True)
-                await self._respond(writer, 200, {"campaigns": docs})
+                await respond_json(writer, 200, {"campaigns": docs})
             else:
-                raise _HttpError(405, f"{method} not allowed on {path}")
+                raise HttpError(405, f"{method} not allowed on {path}")
         elif parts[:1] == ["campaigns"] and len(parts) in (2, 3):
             await self._campaign_route(writer, method, parts)
         else:
-            raise _HttpError(404, f"no route {method} {path}")
+            raise HttpError(404, f"no route {method} {path}")
 
     async def _post_campaign(self, writer, body: bytes) -> None:
         try:
             doc = json.loads(body.decode() or "null")
         except (ValueError, UnicodeDecodeError):
-            raise _HttpError(400, "request body is not valid JSON") from None
-        spec = spec_from_dict(doc)  # ServiceError -> 400
-        campaign = self.scheduler.submit(spec)
+            raise HttpError(400, "request body is not valid JSON") from None
+        try:
+            campaign = self.scheduler.submit(spec_from_dict(doc))
+        except ServiceError as exc:
+            raise HttpError(400, str(exc)) from None
         telemetry.log_event("service.campaign_accepted", campaign=campaign.id,
                             tenant=campaign.tenant, cells=campaign.total)
-        await self._respond(writer, 202, {
+        await respond_json(writer, 202, {
             "id": campaign.id,
             "state": campaign.state,
             "tenant": campaign.tenant,
@@ -351,31 +197,31 @@ class CampaignService:
         try:
             campaign = sched.get(parts[1])
         except ServiceError as exc:
-            raise _HttpError(404, str(exc)) from None
+            raise HttpError(404, str(exc)) from None
         if len(parts) == 2:
             if method == "GET":
-                await self._respond(writer, 200, sched.campaign_doc(campaign))
+                await respond_json(writer, 200, sched.campaign_doc(campaign))
             elif method == "DELETE":
                 sched.cancel(campaign.id)
                 telemetry.log_event("service.campaign_cancelled",
                                     campaign=campaign.id,
                                     tenant=campaign.tenant)
-                await self._respond(writer, 200, sched.campaign_doc(campaign))
+                await respond_json(writer, 200, sched.campaign_doc(campaign))
             else:
-                raise _HttpError(405, f"{method} not allowed here")
+                raise HttpError(405, f"{method} not allowed here")
         elif parts[2] == "result" and method == "GET":
             path = campaign.dir / "result.json"
             if not path.is_file():
-                raise _HttpError(
+                raise HttpError(
                     404, f"campaign {campaign.id} has no result yet "
                     f"(state={campaign.state})"
                 )
-            await self._respond_text(writer, 200, path.read_text(),
-                                     "application/json")
+            await respond_text(writer, 200, path.read_text(),
+                               "application/json")
         elif parts[2] == "events" and method == "GET":
             await self._stream_events(writer, campaign)
         else:
-            raise _HttpError(404, f"no route {method} on campaign")
+            raise HttpError(404, f"no route {method} on campaign")
 
     async def _stream_events(self, writer, campaign) -> None:
         """Server-sent events: history first, then live until terminal."""
@@ -417,7 +263,7 @@ def submit_and_wait(
     by the service gauntlet; this helper is for in-process callers that
     want the same semantics without a socket round trip.
     """
-    loop = service._loop
+    loop = service._http.loop
     sched = service.scheduler
     if loop is None or sched is None:
         raise ServiceError("service is not running")

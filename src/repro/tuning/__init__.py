@@ -11,9 +11,10 @@ noise-free; and :func:`~repro.tuning.tuner.run_tune` adds deterministic
 trial noise, journal-based resume, content-addressed caching, sharding
 and telemetry — the campaign engine's guarantees applied to search.
 
-``explore()`` in :mod:`repro.harness.exploration` is a thin shim over
-the grid strategy on a one-axis placement space, with bit-identical
-winners.  ``a64fx-campaign tune`` is the CLI entry point.
+The exploration phase's placement candidates, best-of-trials score
+and first-wins tie-break come from :mod:`repro.harness.exploration`
+and are re-exported here.  ``a64fx-campaign tune`` is the CLI entry
+point.
 """
 
 from repro.tuning.space import (

@@ -10,9 +10,9 @@ labels/digests derive from a canonical rendering, so the same space
 produces the same candidates on every node and every run — the property
 the journal-resume and content-addressed caching layers build on.
 
-The module sits *below* the harness: it imports only the machine
-topology and suite metadata, so :mod:`repro.harness.exploration` can be
-a thin shim over it without an import cycle.
+The exploration phase's candidate set lives in
+:mod:`repro.harness.exploration` and is re-exported here as
+:func:`benchmark_placements`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import itertools
 from dataclasses import dataclass
 
 from repro.errors import HarnessError
+from repro.harness.exploration import placement_candidates as benchmark_placements
 from repro.machine.machine import Machine
-from repro.machine.topology import Placement, candidate_placements
-from repro.suites.base import Benchmark, ParallelKind, ScalingKind
+from repro.machine.topology import Placement
+from repro.suites.base import Benchmark
 
 __all__ = [
     "Config",
@@ -213,50 +214,6 @@ class SearchSpace:
 
 
 # -- placement spaces ------------------------------------------------------
-
-
-def benchmark_placements(bench: Benchmark, machine: Machine) -> tuple[Placement, ...]:
-    """The placements the exploration phase tries for one benchmark.
-
-    This is the paper's Sec. 2.4 candidate set, honouring each
-    benchmark's constraints: PolyBench pinned to one core; SWFFT needs
-    power-of-two ranks; OpenMP-only codes keep one rank; weak-scaling
-    codes (miniAMR, XSBench) skip exploration and use the recommended
-    placement.  :func:`repro.harness.exploration.placement_candidates`
-    delegates here — the candidate order is a compatibility contract
-    (first-wins tie-breaks make winners order-sensitive).
-    """
-    topo = machine.topology
-    if bench.pinned_single_core or bench.parallel is ParallelKind.SERIAL:
-        return (Placement(1, 1),)
-    if bench.scaling is ScalingKind.WEAK:
-        # Weak-scaling codes are excluded from the sweep (Sec. 2.4).
-        return (machine.recommended_placement(),)
-    if bench.parallel is ParallelKind.OPENMP:
-        threads: list[int] = []
-        t = 1
-        while t <= topo.total_cores:
-            threads.append(t)
-            t *= 2
-        if topo.cores_per_domain not in threads:
-            threads.append(topo.cores_per_domain)
-        if topo.total_cores not in threads:
-            threads.append(topo.total_cores)
-        return tuple(Placement(1, t) for t in sorted(set(threads)))
-    if bench.parallel is ParallelKind.MPI:
-        ranks: list[int] = []
-        r = 1
-        while r <= topo.total_cores:
-            ranks.append(r)
-            r *= 2
-        if topo.numa_domains not in ranks:
-            ranks.append(topo.numa_domains)
-        if topo.total_cores not in ranks:
-            ranks.append(topo.total_cores)
-        if bench.pow2_ranks:
-            ranks = [x for x in ranks if not x & (x - 1)]
-        return tuple(Placement(x, 1) for x in sorted(set(ranks)))
-    return candidate_placements(topo, pow2_ranks_only=bench.pow2_ranks)
 
 
 def placement_space(

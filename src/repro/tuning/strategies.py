@@ -9,9 +9,8 @@ batched model evaluator, journaling, caching — so strategies stay pure
 control flow and replay identically on resume.
 
 Tie-breaking is everywhere *first wins under strict* ``<`` in candidate
-order, the same rule the exploration phase has always used, which keeps
-``explore()``'s winners bit-identical when it delegates to
-:class:`GridStrategy`.
+order: the exploration phase's :func:`select_best`, re-exported here
+with its :func:`fastest_of` from :mod:`repro.harness.exploration`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import HarnessError
-from repro.perf.noise import noise_multiplier
+from repro.harness.exploration import fastest_of, select_best
 from repro.tuning.space import Config, SearchSpace
 
 __all__ = [
@@ -33,39 +32,6 @@ __all__ = [
     "make_strategy",
     "select_best",
 ]
-
-
-def fastest_of(time_s: float, cv: float, trials: int, *key_parts: object) -> float:
-    """Fastest of ``trials`` noisy observations of one model time.
-
-    Trial ``i`` multiplies ``time_s`` by the deterministic
-    :func:`~repro.perf.noise.noise_multiplier` keyed on
-    ``(*key_parts, i)``; the minimum is the score.  This is exactly the
-    exploration phase's best-of-three arithmetic (same operations, same
-    order), so scores stay bit-identical to the pre-tuner ``explore()``.
-    Trial indices always start at 0: evaluating the same key at a higher
-    fidelity *extends* the trial set, so scores improve monotonically
-    across successive-halving rungs.
-    """
-    return min(
-        time_s * noise_multiplier(cv, *key_parts, trial)
-        for trial in range(trials)
-    )
-
-
-def select_best(candidates, scores) -> int:
-    """Index of the winner: first strictly-smallest score in order."""
-    best_index = -1
-    best_score = float("inf")
-    for i, score in enumerate(scores):
-        if score < best_score:
-            best_score = score
-            best_index = i
-    if best_index < 0:
-        # All-inf scores (every build failed): first candidate, the same
-        # convention the exploration phase uses for failed cells.
-        best_index = 0
-    return best_index
 
 
 @dataclass(frozen=True)
@@ -101,8 +67,8 @@ class Strategy:
 class GridStrategy(Strategy):
     """Exhaustive sweep: every config once, at full fidelity.
 
-    This is the paper's exploration phase generalized: ``explore()`` is
-    a thin shim over this strategy on a one-axis placement space.
+    This is the paper's exploration phase generalized: given the same
+    scores it picks the candidate ``explore()`` picks.
     """
 
     name = "grid"

@@ -42,6 +42,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.errors import HarnessError
+from repro.harness.engine import CellCache
 from repro.harness.journalstore import (
     CampaignJournal,
     DirectoryJournalStore,
@@ -406,10 +407,6 @@ def run_tune(
     :class:`TuneInterrupted`, leaving a journal a ``resume=True`` rerun
     completes byte-identically.
     """
-    # Late imports: the engine imports the runner, the runner imports
-    # exploration, and exploration is a shim over this package — a
-    # top-level CellCache import would close that cycle.
-    from repro.harness.engine import CellCache
     from repro.machine.select import resolve_machine
 
     spec = spec if spec is not None else TuneSpec()

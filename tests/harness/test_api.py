@@ -1,5 +1,5 @@
-"""Tests for the redesigned public API (repro.api) and the result
-schema versioning / deprecation shims that support it."""
+"""Tests for the public API (repro.api) and the result schema
+versioning that supports it."""
 
 import json
 
@@ -12,10 +12,8 @@ from repro.harness import (
     RESULT_SCHEMA_VERSION,
     CampaignResult,
     RunRecord,
-    run_campaign,
 )
 from repro.harness.results import STATUS_OK, record_from_dict, record_to_dict
-from repro.suites import micro_suite
 
 
 class TestCampaignConfig:
@@ -110,37 +108,6 @@ class TestCampaignSession:
         loaded = CampaignResult.load(path)
         assert loaded.records == session.result.records
         assert loaded.meta["engine_version"] == session.result.meta["engine_version"]
-
-
-class TestLegacyShims:
-    def test_old_callback_adapted_with_warning(self, a64fx_machine):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="progress"):
-            run_campaign(
-                a64fx_machine,
-                variants=("FJtrad",),
-                benchmarks=micro_suite().benchmarks[:2],
-                progress=lambda b, v: seen.append((b, v)),
-            )
-        assert len(seen) == 2
-        assert seen[0][1] == "FJtrad"
-
-    def test_run_campaign_deprecated(self, a64fx_machine):
-        # The shim itself is deprecated (removal: 2.0) and must say so
-        # even without the legacy progress callback.
-        with pytest.warns(DeprecationWarning, match="CampaignSession"):
-            run_campaign(
-                a64fx_machine, variants=("FJtrad",),
-                benchmarks=micro_suite().benchmarks[:1],
-            )
-
-    def test_run_benchmark_deprecated(self, a64fx_machine):
-        from repro.harness import measure_benchmark, run_benchmark
-
-        bench = micro_suite().benchmarks[0]
-        with pytest.warns(DeprecationWarning, match="measure_benchmark"):
-            shimmed = run_benchmark(bench, "GNU", a64fx_machine)
-        assert shimmed == measure_benchmark(bench, "GNU", a64fx_machine)
 
 
 class TestResultSchemaVersioning:

@@ -135,21 +135,6 @@ class TestPersistentCompilationCache:
 
 
 class TestEngineSerial:
-    def test_workers_one_matches_legacy_loop(self, a64fx_machine):
-        # The deprecated shim must keep producing engine-identical records
-        # until its 2.0 removal.
-        from repro.harness import run_campaign
-
-        benches = micro_suite().benchmarks[:4]
-        with pytest.warns(DeprecationWarning, match="run_campaign"):
-            legacy = run_campaign(
-                a64fx_machine, variants=("FJtrad", "GNU"), benchmarks=benches
-            )
-        engine = CampaignEngine(
-            a64fx_machine, variants=("FJtrad", "GNU"), benchmarks=benches, workers=1
-        )
-        assert engine.run().records == legacy.records
-
     def test_invalid_workers(self):
         with pytest.raises(HarnessError):
             CampaignEngine(workers=0)

@@ -168,3 +168,34 @@ class TestFailurePropagation:
         fjc = benchmark_model(bench, "FJclang", a64fx_machine, p).time_s
         # FJtrad carries the x64 pathological-codegen multiplier
         assert fj > 10 * fjc
+
+
+class TestCompilationCacheIdentity:
+    def test_fresh_kernel_copies_get_their_own_compilation(
+        self, a64fx_machine, tmp_path
+    ):
+        # A long-lived cache sees kernels unpickled afresh for every
+        # chunk of work, and a freed kernel's address is soon reused by
+        # the next one; each lookup must still answer for its own
+        # kernel, from memory and from the disk tier.
+        import pickle
+
+        from repro.suites.registry import all_suites
+
+        kernels = [unit.kernel for suite in all_suites()
+                   for bench in suite.benchmarks for unit in bench.units
+                   if unit.kernel is not None]
+        warm = CompilationCache(persist_dir=tmp_path)
+        for kernel in kernels:
+            warm.get("GNU", kernel, a64fx_machine, None)
+        payloads = [pickle.dumps(kernel) for kernel in kernels]
+        cache = CompilationCache(persist_dir=tmp_path)
+        wrong = []
+        for _round in range(3):
+            for payload in payloads:
+                kernel = pickle.loads(payload)
+                compiled = cache.get("GNU", kernel, a64fx_machine, None)
+                if compiled.kernel != kernel:
+                    wrong.append(kernel.name)
+        assert wrong == []
+        assert cache.compile_count == 0
