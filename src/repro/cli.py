@@ -1164,7 +1164,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_tune.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for batch evaluation (default: 1, serial)",
+        help="accepted and ignored: searches evaluate in-process",
     )
     p_tune.add_argument(
         "--metrics", action="store_true",

@@ -49,7 +49,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
@@ -58,6 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.atomicio import atomic_write
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.errors import HarnessError
@@ -66,6 +66,7 @@ from repro.faults.taxonomy import SITE_CACHE, SITE_WORKER
 from repro.harness.journalstore import (
     CampaignJournal,
     DirectoryJournalStore,
+    open_journal,
     shard_cells,
     shard_journal_name,
     validate_shard,
@@ -307,26 +308,15 @@ def cell_cache_key(
 
 
 def _atomic_write_text(path: Path, text: str) -> bool:
-    """Write ``text`` to ``path`` via temp file + ``os.replace``.
-
-    Returns ``False`` (after logging) when the write failed, so callers
-    can count the miss instead of mistaking it for success; the temp
-    file is removed on every path, including a failed ``os.replace``.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    """:func:`~repro.atomicio.atomic_write`, returning ``False`` (after
+    logging) when the write failed, so callers can count the miss
+    instead of mistaking it for success."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        return True
+        atomic_write(path, text)
     except OSError as exc:
         _LOG.warning("atomic write to %s failed: %s", path, exc)
         return False
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass  # the success path already renamed it away
+    return True
 
 
 class CellCache:
@@ -386,66 +376,7 @@ class CellCache:
 # is re-exported above for compatibility with existing imports.
 
 
-# -- worker side ---------------------------------------------------------
-
-def _run_chunk(
-    payload: tuple,
-) -> "tuple[list[tuple[int, CellOutcome]], dict | None, list[dict] | None]":
-    """Execute one chunk of cell tasks inside a worker process.
-
-    With telemetry enabled, the chunk records its cell spans and
-    metrics into a fresh in-worker :class:`Telemetry` and ships its
-    snapshot back alongside the outcomes; the parent merges it into the
-    campaign trace (the snapshot is plain JSON-able data, so it crosses
-    the ``ProcessPoolExecutor`` pickle boundary).  Structured logging
-    travels the same way: with a ``log_ctx`` in the payload the chunk
-    buffers its records into a fresh in-worker
-    :class:`StructuredLogger` under the campaign/shard correlation
-    context and ships the buffer back for the parent to merge into the
-    campaign log.
-
-    When the campaign carries a fault plan with worker-site rules, the
-    injector is consulted once per cell before the chunk runs; a firing
-    rule kills this worker with ``os._exit`` — an abrupt death the
-    parent observes as :class:`BrokenProcessPool`, exactly like a real
-    OOM kill or node loss.  ``chunk_attempt`` keys those decisions so a
-    requeued chunk does not crash forever.
-    """
-    (machine, flags, runs, kernel_dir, telemetry_on, log_ctx, items,
-     plan, retry, timeout_s, chunk_attempt) = payload
-    injector = FaultInjector(plan) if plan is not None else None
-    if injector is not None:
-        for _index, bench, variant in items:
-            crash = injector.decide(SITE_WORKER, bench.full_name, variant, chunk_attempt)
-            if crash is not None:
-                os._exit(3)  # simulate the worker dying mid-chunk
-    # One cache per chunk: the chunk's kernels were unpickled afresh, so
-    # nothing an earlier chunk cached in memory can belong to them.
-    cache = CompilationCache(persist_dir=kernel_dir, injector=injector)
-    tel = Telemetry() if telemetry_on else None
-    logger = StructuredLogger() if log_ctx is not None else None
-    out: list[tuple[int, CellOutcome]] = []
-    with telemetry.active(tel), telemetry.logging_active(logger):
-        with telemetry.context(**(log_ctx or {})):
-            for index, bench, variant in items:
-                t0 = time.monotonic()
-                with telemetry.span("cell", benchmark=bench.full_name,
-                                    variant=variant, index=index):
-                    outcome = run_cell(
-                        bench, variant, machine, flags=flags, cache=cache,
-                        runs=runs, injector=injector, retry=retry,
-                        timeout_s=timeout_s,
-                    )
-                telemetry.observe("engine.cell_s", time.monotonic() - t0)
-                out.append((index, outcome))
-    return (
-        out,
-        tel.snapshot() if tel is not None else None,
-        logger.snapshot() if logger is not None else None,
-    )
-
-
-# -- the engine ----------------------------------------------------------
+# -- cells and chunks ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -459,6 +390,105 @@ class CellTask:
     @property
     def name(self) -> tuple[str, str]:
         return (self.benchmark.full_name, self.variant)
+
+
+@dataclass(frozen=True)
+class CellChunk:
+    """A batch of cells and everything needed to run them: what the
+    engine and the campaign service hand to a pool worker
+    (:func:`_run_chunk`), and what the in-process paths walk cell by
+    cell (:func:`_execute_cell`).  Plain data, so it pickles across the
+    pool boundary; the defaults are a plain campaign's."""
+
+    machine: Machine
+    #: The cells, in execution order; outcomes come back keyed by
+    #: ``CellTask.index``.
+    tasks: tuple[CellTask, ...]
+    runs: int = PERFORMANCE_RUNS
+    flags: CompilerFlags | None = None
+    #: Persistent kernel-cache directory (``None``: memory only).
+    kernel_dir: str | None = None
+    retry: RetryPolicy = RetryPolicy()
+    timeout_s: float | None = None
+    plan: FaultPlan | None = None
+    #: How often the chunk was requeued after a worker died; keys the
+    #: worker-site fault decisions so a requeued chunk does not crash
+    #: forever.
+    attempt: int = 0
+    #: Record spans and metrics in the worker and ship them back.
+    telemetry_on: bool = False
+    #: Correlation context of the structured log records the worker
+    #: ships back (``None``: no logging).
+    log_ctx: dict | None = None
+
+    @property
+    def injector(self) -> FaultInjector | None:
+        return FaultInjector(self.plan) if self.plan is not None else None
+
+
+def _execute_cell(
+    chunk: CellChunk, task: CellTask, cache: CompilationCache
+) -> CellOutcome:
+    """The per-cell step of every execution path (pool worker, serial
+    loop, degraded fallback): a ``cell`` span around :func:`run_cell`,
+    then the ``engine.cell_s`` observation."""
+    t0 = time.monotonic()
+    with telemetry.span("cell", benchmark=task.benchmark.full_name,
+                        variant=task.variant, index=task.index):
+        outcome = run_cell(
+            task.benchmark, task.variant, chunk.machine, flags=chunk.flags,
+            cache=cache, runs=chunk.runs, injector=chunk.injector,
+            retry=chunk.retry, timeout_s=chunk.timeout_s,
+        )
+    telemetry.observe("engine.cell_s", time.monotonic() - t0)
+    return outcome
+
+
+def _run_chunk(
+    chunk: CellChunk,
+) -> "tuple[list[tuple[int, CellOutcome]], dict | None, list[dict] | None]":
+    """Execute one chunk of cell tasks inside a worker process.
+
+    With ``telemetry_on``, the chunk records its cell spans and
+    metrics into a fresh in-worker :class:`Telemetry` and ships its
+    snapshot back alongside the outcomes; the parent merges it into the
+    campaign trace (the snapshot is plain JSON-able data, so it crosses
+    the ``ProcessPoolExecutor`` pickle boundary).  Structured logging
+    travels the same way: with a ``log_ctx`` the chunk buffers its
+    records into a fresh in-worker :class:`StructuredLogger` under the
+    campaign/shard correlation context and ships the buffer back for
+    the parent to merge into the campaign log.
+
+    When the campaign carries a fault plan with worker-site rules, the
+    injector is consulted once per cell before the chunk runs; a firing
+    rule kills this worker with ``os._exit`` — an abrupt death the
+    parent observes as :class:`BrokenProcessPool`, exactly like a real
+    OOM kill or node loss.
+    """
+    injector = chunk.injector
+    if injector is not None:
+        for task in chunk.tasks:
+            crash = injector.decide(SITE_WORKER, task.benchmark.full_name,
+                                    task.variant, chunk.attempt)
+            if crash is not None:
+                os._exit(3)  # simulate the worker dying mid-chunk
+    # One cache per chunk: the chunk's kernels were unpickled afresh, so
+    # nothing an earlier chunk cached in memory can belong to them.
+    cache = CompilationCache(persist_dir=chunk.kernel_dir, injector=injector)
+    tel = Telemetry() if chunk.telemetry_on else None
+    logger = StructuredLogger() if chunk.log_ctx is not None else None
+    with telemetry.active(tel), telemetry.logging_active(logger):
+        with telemetry.context(**(chunk.log_ctx or {})):
+            out = [(task.index, _execute_cell(chunk, task, cache))
+                   for task in chunk.tasks]
+    return (
+        out,
+        tel.snapshot() if tel is not None else None,
+        logger.snapshot() if logger is not None else None,
+    )
+
+
+# -- the engine ----------------------------------------------------------
 
 
 class CampaignEngine:
@@ -904,29 +934,20 @@ class CampaignEngine:
         send(EventKind.CAMPAIGN_STARTED, message=started)
 
         store = self.journal_store
-        journal = store.journal(self.shard) if store is not None else None
-        # Resume replays the *merged* stream of every journal in the
-        # store (this shard's, sibling shards', and any legacy
-        # journal.jsonl), so any node can pick the campaign back up.
-        self._replay_store(store, fingerprint, tasks, done, stats, send)
-        if journal is not None:
-            # Append-only by construction: a matching existing journal
-            # is opened with "a" (its records never leave the disk), a
-            # fresh header goes through temp file + os.replace.  There
-            # is no instant at which a kill can lose checkpointed cells.
-            persisted = journal.start(
-                fingerprint,
-                self.machine.name,
-                [t.name for t in campaign],
-                shard=self.shard,
-                keep=self.resume,
+        journal: "CampaignJournal | None" = None
+        if store is not None:
+            journal, replayed = open_journal(
+                store, fingerprint, self.machine.name,
+                [t.name for t in campaign], shard=self.shard,
+                resume=self.resume,
             )
-            for name, record in done.items():
-                # Re-persist records replayed from *other* journals so
-                # this shard's journal alone suffices for the next
-                # resume; our own checkpoints are already on disk.
-                if name not in persisted:
-                    journal.append(record)
+            by_name = {t.name: t for t in tasks}
+            for name, record in replayed.items():
+                done[name] = record
+                stats["resumed"] += 1
+                telemetry.count("engine.resumed")
+                send(EventKind.CACHE_HIT, by_name[name], record=record,
+                     from_cache=True, message="resumed from journal")
 
         cell_cache = CellCache(self.cache_dir / "cells") if self.cache_dir else None
         kernel_dir = self.cache_dir / "kernels" if self.cache_dir else None
@@ -1121,40 +1142,17 @@ class CampaignEngine:
             lint=diags,
         )
 
-    def _replay_store(self, store, fingerprint, tasks, done, stats, send) -> None:
-        """Fold every journal in the store and replay the cells of this
-        engine's task list; raises on journals from another campaign."""
-        if store is None or not self.resume:
-            return
-        merged = store.merge(expect_fingerprint=fingerprint)
-        if merged is None:
-            return  # no journals yet: fresh run
-        by_name = {t.name: t for t in tasks}
-        for name, record in merged.records.items():
-            task = by_name.get(name)
-            if task is None or name in done:
-                continue
-            done[name] = record
-            stats["resumed"] += 1
-            telemetry.count("engine.resumed")
-            send(EventKind.CACHE_HIT, task, record=record, from_cache=True,
-                 message="resumed from journal")
-
-    def _run_serial(self, pending, kernel_dir, finish_outcome, send) -> None:
-        cache = CompilationCache(persist_dir=kernel_dir, injector=self._injector)
-        for task in pending:
-            send(EventKind.CELL_STARTED, task)
-            t0 = time.monotonic()
-            with telemetry.span("cell", benchmark=task.benchmark.full_name,
-                                variant=task.variant, index=task.index):
-                outcome = run_cell(
-                    task.benchmark, task.variant, self.machine,
-                    flags=self.flags, cache=cache, runs=self.runs,
-                    injector=self._injector, retry=self.retry_policy,
-                    timeout_s=self.cell_timeout_s,
-                )
-            telemetry.observe("engine.cell_s", time.monotonic() - t0)
-            finish_outcome(task, outcome)
+    def _run_serial(self, tasks, kernel_dir, finish_outcome, send=None) -> None:
+        """Run ``tasks`` in this process, in order.  ``send`` announces
+        each cell as it starts; the degraded fallback passes none, its
+        cells were announced when they were first queued."""
+        chunk = self._make_chunk(tasks, kernel_dir)
+        cache = CompilationCache(persist_dir=chunk.kernel_dir,
+                                 injector=chunk.injector)
+        for task in chunk.tasks:
+            if send is not None:
+                send(EventKind.CELL_STARTED, task)
+            finish_outcome(task, _execute_cell(chunk, task, cache))
 
     def _chunk(self, pending: list[CellTask]) -> list[list[CellTask]]:
         """Benchmark-major chunks: a benchmark's variants stay together
@@ -1170,7 +1168,7 @@ class CampaignEngine:
             chunks.append([t for g in group_list[i : i + per_chunk] for t in g])
         return chunks
 
-    def _chunk_payload(self, chunk, kernel_dir, telemetry_on, attempt) -> tuple:
+    def _make_chunk(self, tasks, kernel_dir, telemetry_on=False) -> CellChunk:
         log_ctx = None
         if telemetry.active_logger() is not None:
             # The worker re-creates the parent's correlation scope so
@@ -1179,22 +1177,21 @@ class CampaignEngine:
                 "campaign": self.campaign_fingerprint()[:12],
                 "shard": f"{self.shard[0]}of{self.shard[1]}",
             }
-        return (
-            self.machine,
-            self.flags,
-            self.runs,
-            str(kernel_dir) if kernel_dir else None,
-            telemetry_on,
-            log_ctx,
-            [(t.index, t.benchmark, t.variant) for t in chunk],
-            self.fault_plan,
-            self.retry_policy,
-            self.cell_timeout_s,
-            attempt,
+        return CellChunk(
+            machine=self.machine,
+            tasks=tuple(tasks),
+            runs=self.runs,
+            flags=self.flags,
+            kernel_dir=str(kernel_dir) if kernel_dir else None,
+            retry=self.retry_policy,
+            timeout_s=self.cell_timeout_s,
+            plan=self.fault_plan,
+            telemetry_on=telemetry_on,
+            log_ctx=log_ctx,
         )
 
     def _run_parallel(self, pending, kernel_dir, finish_outcome, send,
-                      tel=None, root=None, stats=None) -> None:
+                      tel, root, stats) -> None:
         """Fan chunks out over a process pool, surviving worker loss.
 
         A worker that dies (OOM kill, node loss, injected
@@ -1206,42 +1203,34 @@ class CampaignEngine:
         After ``max_worker_restarts`` rebuilds the engine degrades
         gracefully and runs the remaining cells in-process instead.
         """
-        stats = stats if stats is not None else {"worker_restarts": 0}
         by_index = {t.index: t for t in pending}
-        queue: list[tuple[list[CellTask], int]] = [
-            (chunk, 0) for chunk in self._chunk(pending)
-        ]
-        for chunk, _attempt in queue:
-            for task in chunk:
+        queue = [self._make_chunk(tasks, kernel_dir, tel is not None)
+                 for tasks in self._chunk(pending)]
+        for chunk in queue:
+            for task in chunk.tasks:
                 send(EventKind.CELL_STARTED, task)
         restarts = 0
         while queue:
-            requeue: list[tuple[list[CellTask], int]] = []
+            requeue: list[CellChunk] = []
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = {
-                    pool.submit(
-                        _run_chunk,
-                        self._chunk_payload(chunk, kernel_dir, tel is not None, attempt),
-                    ): (chunk, attempt)
-                    for chunk, attempt in queue
-                }
+                futures = {pool.submit(_run_chunk, chunk): chunk for chunk in queue}
                 remaining = set(futures)
                 while remaining:
                     finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                     for future in finished:
-                        chunk, attempt = futures[future]
+                        chunk = futures[future]
                         try:
                             outcomes, snapshot, log_records = future.result()
                         except (BrokenProcessPool, OSError) as exc:
                             # The pool is gone; every still-pending future
                             # fails the same way and lands in the requeue.
-                            requeue.append((chunk, attempt + 1))
+                            attempt = chunk.attempt + 1
+                            requeue.append(dataclasses.replace(chunk, attempt=attempt))
                             telemetry.count("engine.worker_lost")
                             send(
-                                EventKind.WORKER_LOST,
-                                chunk[0] if chunk else None,
+                                EventKind.WORKER_LOST, chunk.tasks[0],
                                 message=f"worker died ({type(exc).__name__}); "
-                                f"requeued {len(chunk)} cell(s) at attempt {attempt + 1}",
+                                f"requeued {len(chunk.tasks)} cell(s) at attempt {attempt}",
                             )
                             continue
                         if snapshot is not None and tel is not None:
@@ -1257,28 +1246,17 @@ class CampaignEngine:
             if not queue:
                 break
             restarts += 1
-            stats["worker_restarts"] = stats.get("worker_restarts", 0) + 1
+            stats["worker_restarts"] += 1
             telemetry.count("engine.worker_restarts")
             if restarts > self.max_worker_restarts:
                 # Graceful degradation: no pool left to trust — finish
                 # the remaining cells in this process.
-                leftovers = [t for chunk, _a in queue for t in chunk]
+                leftovers = [t for chunk in queue for t in chunk.tasks]
                 send(
                     EventKind.WORKER_LOST,
                     message=f"worker restart budget ({self.max_worker_restarts}) "
                     f"exhausted; running {len(leftovers)} remaining cell(s) "
                     f"in-process",
                 )
-                cache = CompilationCache(persist_dir=kernel_dir,
-                                         injector=self._injector)
-                for task in leftovers:
-                    with telemetry.span("cell", benchmark=task.benchmark.full_name,
-                                        variant=task.variant, index=task.index):
-                        outcome = run_cell(
-                            task.benchmark, task.variant, self.machine,
-                            flags=self.flags, cache=cache, runs=self.runs,
-                            injector=self._injector, retry=self.retry_policy,
-                            timeout_s=self.cell_timeout_s,
-                        )
-                    finish_outcome(task, outcome)
+                self._run_serial(leftovers, kernel_dir, finish_outcome)
                 return

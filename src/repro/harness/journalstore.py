@@ -31,6 +31,11 @@ subsystem:
     journal keeps its legacy name ``journal.jsonl``; shard ``i`` of
     ``N`` writes ``journal-<i>of<N>.jsonl`` next to it.
 
+:func:`open_journal`
+    The resume procedure the engine and the campaign service share:
+    replay the merged stream, open the shard's journal append-only, and
+    re-persist what it lacks.
+
 :func:`merge_journals` / :class:`MergedJournal`
     Folds any subset of shard journals — plus a legacy single
     ``journal.jsonl`` — into one resumable completed-cell map, with
@@ -54,12 +59,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.atomicio import atomic_write
 from repro.errors import HarnessError
 from repro.harness.results import (
     FAILURE_STATUSES,
@@ -212,17 +217,7 @@ class CampaignJournal:
             "shard": list(shard),
             "cells": [list(c) for c in cells],
         }
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(header) + "\n")
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, json.dumps(header) + "\n")
         self._fh = open(self.path, "a")
         return set()
 
@@ -550,3 +545,43 @@ class DirectoryJournalStore(JournalStore):
 
     def describe(self) -> str:
         return str(self.root)
+
+
+def open_journal(
+    store: JournalStore,
+    fingerprint: str,
+    machine: str,
+    cells: Sequence[CellName],
+    *,
+    shard: "tuple[int, int] | None" = None,
+    resume: bool = False,
+) -> "tuple[CampaignJournal, dict[CellName, RunRecord]]":
+    """Open shard ``shard``'s journal of a campaign; returns it with the
+    records that resume replays (canonical order, empty on a fresh start).
+
+    The resume procedure the engine and the service share.  With
+    ``resume`` the *merged* stream of every journal in ``store`` is
+    replayed (raising :class:`HarnessError` when one belongs to another
+    campaign), so any node can pick the campaign back up; the shard's
+    own journal is opened append-only and re-persists the replayed
+    records it lacks, so it alone suffices for the next resume.  A
+    fresh start reads nothing and atomically replaces the journal with
+    a header-only one.  ``cells`` is the full campaign cell list.
+    """
+    shard = validate_shard(shard)
+    replayed: dict[CellName, RunRecord] = {}
+    if resume:
+        merged = store.merge(expect_fingerprint=fingerprint)
+        if merged is not None:
+            mine = set(shard_cells(cells, *shard))
+            replayed = {
+                name: record
+                for name, record in merged.records.items()
+                if name in mine
+            }
+    journal = store.journal(shard)
+    persisted = journal.start(fingerprint, machine, cells, shard=shard, keep=resume)
+    for name, record in replayed.items():
+        if name not in persisted:
+            journal.append(record)
+    return journal, replayed

@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.atomicio import atomic_write
 from repro.compilers.base import CompiledKernel, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import compile_kernel
@@ -276,24 +275,13 @@ class CompilationCache:
         )
 
     def _persist(self, stable_key: str, compiled: CompiledKernel) -> None:
-        assert self.persist_dir is not None
-        fd, tmp = tempfile.mkstemp(dir=self.persist_dir, suffix=".tmp")
+        path = self._disk_path(stable_key)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(compiled, fh)
-            os.replace(tmp, self._disk_path(stable_key))
+            atomic_write(path, pickle.dumps(compiled))
         except OSError as exc:
             # A failed persist only costs a recompile next session.
-            _LOG.warning(
-                "kernel-cache write to %s failed: %s",
-                self._disk_path(stable_key), exc,
-            )
+            _LOG.warning("kernel-cache write to %s failed: %s", path, exc)
             telemetry.count("kernel_cache.write_error")
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass  # the success path already renamed it away
 
 
 def _rank_geometry(bench: Benchmark, machine: Machine, placement: Placement) -> tuple[int, int, float]:

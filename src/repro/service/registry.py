@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import threading
 from pathlib import Path
 
 from repro import telemetry
+from repro.atomicio import atomic_write
 
 _LOG = logging.getLogger(__name__)
 
@@ -38,30 +37,6 @@ STATE_CANCELLED = "cancelled"
 
 #: States a restart must pick back up.
 RESUMABLE_STATES = (STATE_QUEUED, STATE_RUNNING)
-
-
-def _atomic_write_text(path: Path, text: str) -> bool:
-    """Temp file + ``os.replace``; logs and returns ``False`` on failure.
-
-    Mirrors the engine's cell-cache write contract: the registry on
-    disk is always a complete document, and a failed write is counted
-    (``service.registry.write_error``) rather than raised — the
-    in-memory registry stays authoritative for the running service.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        return True
-    except OSError as exc:
-        _LOG.warning("atomic registry write to %s failed: %s", path, exc)
-        return False
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass  # the success path already renamed it away
 
 
 class ServiceRegistry:
@@ -127,7 +102,13 @@ class ServiceRegistry:
             "campaigns": self._entries,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if _atomic_write_text(self.path, json.dumps(doc, indent=2) + "\n"):
-            telemetry.count("service.registry.write")
-        else:
+        # The registry on disk is always a complete document; a failed
+        # write is counted rather than raised — the in-memory registry
+        # stays authoritative for the running service.
+        try:
+            atomic_write(self.path, json.dumps(doc, indent=2) + "\n")
+        except OSError as exc:
+            _LOG.warning("atomic registry write to %s failed: %s", self.path, exc)
             telemetry.count("service.registry.write_error")
+        else:
+            telemetry.count("service.registry.write")

@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,12 +59,17 @@ from repro.errors import ReproError
 from repro.harness.engine import (
     CampaignEngine,
     CellCache,
+    CellChunk,
     CellTask,
     EventKind,
     cell_cache_key,
     _run_chunk,
 )
-from repro.harness.journalstore import CampaignJournal, DirectoryJournalStore
+from repro.harness.journalstore import (
+    CampaignJournal,
+    DirectoryJournalStore,
+    open_journal,
+)
 from repro.harness.results import (
     STATUS_OK,
     STATUS_TIMEOUT,
@@ -136,6 +142,8 @@ class ServiceCampaign:
     subscribers: list = field(default_factory=list)
     #: Pool futures for this campaign's own batches (cancel targets).
     batches: list = field(default_factory=list)
+    #: Every ``(task, key, future)`` cell claim this campaign made.
+    claims: list = field(default_factory=list)
     task: "asyncio.Task | None" = None
 
     @property
@@ -294,14 +302,18 @@ class CampaignScheduler:
         campaign.cancelled = True
         for batch, exec_fut in campaign.batches:
             if exec_fut.cancel():
-                # The pool never started this batch: release its cells
-                # so waiters from other tenants re-claim them.
-                for _task, key, fut in batch:
-                    if self._inflight.get(key) is fut:
-                        del self._inflight[key]
-                    if not fut.done():
-                        fut.set_exception(CellAbandoned(campaign_id))
+                self._release(campaign_id, batch)
         return campaign
+
+    def _release(self, campaign_id: str, claims) -> None:
+        """Give up claimed cells: their unresolved futures raise
+        :class:`CellAbandoned`, so waiters from other tenants re-claim
+        the cells instead of waiting on a result nobody will deliver."""
+        for _task, key, fut in claims:
+            if self._inflight.get(key) is fut:
+                del self._inflight[key]
+            if not fut.done():
+                fut.set_exception(CellAbandoned(campaign_id))
 
     def get(self, campaign_id: str) -> ServiceCampaign:
         try:
@@ -340,23 +352,19 @@ class CampaignScheduler:
             telemetry.count("service.campaigns_failed")
             self._finish(c, STATE_FAILED, journal)
         finally:
+            # However the campaign ended, no waiter may stay stranded on
+            # a cell it claimed but never resolved (a no-op once every
+            # claim has its record).
+            self._release(c.id, c.claims)
             if journal is not None:
                 journal.close()
 
     def _open_journal(self, c: ServiceCampaign) -> CampaignJournal:
-        store = DirectoryJournalStore(c.dir)
-        merged = store.merge(expect_fingerprint=c.fingerprint)
-        if merged is not None and c.resume:
-            for name, record in merged.records.items():
-                c.done[name] = record
-        journal = store.journal(None)
-        persisted = journal.start(
-            c.fingerprint, c.machine.name, [t.name for t in c.cells],
-            keep=c.resume,
+        journal, replayed = open_journal(
+            DirectoryJournalStore(c.dir), c.fingerprint, c.machine.name,
+            [t.name for t in c.cells], resume=c.resume,
         )
-        for name, record in c.done.items():
-            if name not in persisted:
-                journal.append(record)
+        c.done.update(replayed)
         # Resumed cells report before anything is scheduled, in
         # canonical order.
         for task in c.cells:
@@ -377,9 +385,7 @@ class CampaignScheduler:
         never both claim the same cell.
         """
         owned: list[tuple[CellTask, str, asyncio.Future]] = []
-        waiting: list[tuple[CellTask, str]] = []
         pending_order: dict[tuple[str, str], tuple] = {}
-        loop = asyncio.get_running_loop()
         for task in c.cells:
             if task.name in c.done:
                 continue
@@ -395,24 +401,16 @@ class CampaignScheduler:
                 self._emit_cell(c, EventKind.CACHE_HIT.value, task, record,
                                 from_cache=True)
                 continue
-            shared = self._inflight.get(key)
-            if shared is not None:
-                waiting.append((task, key))
+            if key in self._inflight:
                 pending_order[task.name] = ("wait", task, key)
                 continue
-            fut = loop.create_future()
-            fut.add_done_callback(_mark_retrieved)
-            self._inflight[key] = fut
+            fut = self._claim(c, task, key)
             owned.append((task, key, fut))
             pending_order[task.name] = ("own", task, key, fut)
 
         for batch in self._batched(owned):
             if c.cancelled:
-                for _task, key, fut in batch:
-                    if self._inflight.get(key) is fut:
-                        del self._inflight[key]
-                    if not fut.done():
-                        fut.set_exception(CellAbandoned(c.id))
+                self._release(c.id, batch)
                 continue
             self._dispatch(c, batch)
 
@@ -457,10 +455,9 @@ class CampaignScheduler:
 
     async def _wait_cell(self, c: ServiceCampaign, task: CellTask, key: str):
         """Fan in on another campaign's in-flight cell; re-claim it if
-        that campaign abandons it.  Returns ``(record, how)`` with
-        ``how`` in {"deduped", "executed"}, or ``(None, "")`` when this
-        campaign was cancelled meanwhile."""
-        loop = asyncio.get_running_loop()
+        that campaign abandons it or its batch fails.  Returns
+        ``(record, how)`` with ``how`` in {"deduped", "executed"}, or
+        ``(None, "")`` when this campaign was cancelled meanwhile."""
         while True:
             if c.cancelled:
                 return None, ""
@@ -469,7 +466,7 @@ class CampaignScheduler:
                 try:
                     record = await asyncio.shield(shared)
                     return record, "deduped"
-                except CellAbandoned:
+                except (CellAbandoned, ServiceError):
                     continue
             record = self.cell_cache.get(key)
             if record is not None:
@@ -477,9 +474,7 @@ class CampaignScheduler:
                 # still a dedupe — this campaign never executed the cell
                 # and it was not cached when the campaign was accepted.
                 return record, "deduped"
-            fut = loop.create_future()
-            fut.add_done_callback(_mark_retrieved)
-            self._inflight[key] = fut
+            fut = self._claim(c, task, key)
             self._dispatch(c, [(task, key, fut)])
             try:
                 record = await fut
@@ -489,6 +484,15 @@ class CampaignScheduler:
 
     # -- dispatch --------------------------------------------------------
 
+    def _claim(self, c: ServiceCampaign, task: CellTask, key: str) -> asyncio.Future:
+        """Claim a cell for ``c``: the future its record will resolve,
+        published in the in-flight table for other campaigns to await."""
+        fut = asyncio.get_running_loop().create_future()
+        fut.add_done_callback(_mark_retrieved)
+        self._inflight[key] = fut
+        c.claims.append((task, key, fut))
+        return fut
+
     def _batched(self, owned):
         """Benchmark-major batches: all of a benchmark's variants in
         one pool task, so the worker compiles each kernel once."""
@@ -497,34 +501,45 @@ class CampaignScheduler:
             groups.setdefault(entry[0].benchmark.full_name, []).append(entry)
         return list(groups.values())
 
-    def _dispatch(self, c: ServiceCampaign, batch) -> None:
+    def _dispatch(self, c: ServiceCampaign, batch, *, retry: bool = True) -> None:
         """Hand one batch to the executor and wire its results back to
-        the cell futures (the callback runs on the event loop)."""
+        the cell futures (the callback runs on the event loop).
+
+        A worker that dies (OOM kill, SIGKILL) breaks the whole pool:
+        every batch on it fails with :class:`BrokenProcessPool`.  Such a
+        batch is dispatched once more (``retry``), on the fresh pool
+        :meth:`_submit` starts in place of the broken one.
+        """
         self.counters["kernel_batches"] += 1
         log_ctx = None
         if telemetry.active_logger() is not None:
             log_ctx = {"campaign": c.id, "tenant": c.tenant}
-        items = [(i, entry[0].benchmark, entry[0].variant)
-                 for i, entry in enumerate(batch)]
-        payload = (
-            c.machine, None, c.spec.runs, str(self.kernel_dir), False,
-            log_ctx, items, None, self.retry_policy, None, 0,
+        chunk = CellChunk(
+            machine=c.machine,
+            tasks=tuple(task for task, _key, _fut in batch),
+            runs=c.spec.runs,
+            kernel_dir=str(self.kernel_dir),
+            retry=self.retry_policy,
+            log_ctx=log_ctx,
         )
-        loop = asyncio.get_running_loop()
+        claims = {task.index: (key, fut) for task, key, fut in batch}
         if self.workers == 0:
-            exec_fut = asyncio.ensure_future(
-                asyncio.to_thread(_run_chunk, payload))
+            exec_fut = asyncio.ensure_future(asyncio.to_thread(_run_chunk, chunk))
         else:
             self.counters["pool_tasks"] += 1
             telemetry.count("service.pool_tasks")
-            exec_fut = loop.run_in_executor(self._ensure_pool(), _run_chunk,
-                                            payload)
+            exec_fut = self._submit(chunk)
         c.batches.append((batch, exec_fut))
 
         def _finish_batch(done_fut) -> None:
             if done_fut.cancelled():
                 return  # cancel() already released the cells
             exc = done_fut.exception()
+            if isinstance(exc, BrokenProcessPool) and retry:
+                try:
+                    return self._dispatch(c, batch, retry=False)
+                except Exception as again:  # noqa: BLE001 - fail the batch
+                    exc = again
             if exc is not None:
                 for _task, key, fut in batch:
                     if self._inflight.get(key) is fut:
@@ -539,7 +554,7 @@ class CampaignScheduler:
                 if logger is not None:
                     logger.merge(log_records)
             for index, outcome in outcomes:
-                _task, key, fut = batch[index]
+                key, fut = claims[index]
                 self.cell_cache.put(key, outcome.record)
                 if self._inflight.get(key) is fut:
                     del self._inflight[key]
@@ -549,6 +564,16 @@ class CampaignScheduler:
                     fut.set_result(outcome.record)
 
         exec_fut.add_done_callback(_finish_batch)
+
+    def _submit(self, chunk: CellChunk) -> asyncio.Future:
+        """Run ``chunk`` on the worker pool; a pool that a dead worker
+        broke refuses new work, so it is replaced by a fresh one."""
+        loop = asyncio.get_running_loop()
+        try:
+            return loop.run_in_executor(self._ensure_pool(), _run_chunk, chunk)
+        except BrokenProcessPool:
+            self.shutdown_pool(wait=False)
+            return loop.run_in_executor(self._ensure_pool(), _run_chunk, chunk)
 
     def _ensure_pool(self):
         if self._pool is None:

@@ -29,13 +29,13 @@ import json
 import logging
 import os
 import re
-import tempfile
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.atomicio import atomic_write
 
 _LOG = logging.getLogger(__name__)
 
@@ -159,16 +159,7 @@ class CampaignHistory:
             if existing is not None and existing[0] != fingerprint:
                 # Different campaign: replace atomically so no instant
                 # leaves a mixed-campaign series behind.
-                fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        fh.write(json.dumps(header) + "\n")
-                    os.replace(tmp, self.path)
-                finally:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
+                atomic_write(self.path, json.dumps(header) + "\n")
                 self._fh = open(self.path, "a")
                 return True
             self._fh = open(self.path, "a")

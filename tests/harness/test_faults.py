@@ -356,6 +356,22 @@ class TestEngineChaos:
         assert result.meta["worker_restarts"] >= 1
         assert any(e.kind is EventKind.WORKER_LOST for e in events)
 
+    def test_exhausted_restart_budget_degrades_to_in_process(
+        self, a64fx_machine
+    ):
+        clean = self._engine(a64fx_machine).run()
+        plan = FaultPlan(seed=4, rules=(
+            FaultRule(site="worker", probability=1.0, transient=True,
+                      first_attempts=None),))
+        events = []
+        result = self._engine(
+            a64fx_machine, fault_plan=plan, workers=2, max_worker_restarts=0,
+        ).run(emit=events.append)
+        assert result.records == clean.records
+        assert result.meta["worker_restarts"] == 1
+        lost = [e.message for e in events if e.kind is EventKind.WORKER_LOST]
+        assert any("restart budget (0) exhausted" in m for m in lost)
+
     def test_worker_site_ignored_in_serial(self, a64fx_machine):
         clean = self._engine(a64fx_machine).run()
         plan = FaultPlan(seed=4, rules=(

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -19,6 +22,7 @@ from repro.harness.results import record_to_dict
 from repro.service import CampaignSpec
 from repro.service.registry import (
     STATE_CANCELLED,
+    STATE_FAILED,
     STATE_FINISHED,
     STATE_RUNNING,
     ServiceRegistry,
@@ -181,6 +185,38 @@ class TestCancellation:
         assert bob.state == STATE_FINISHED
         assert bob.completed == bob.total
 
+    def test_waiters_reclaim_cells_of_a_failed_batch(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.scheduler as mod
+
+        real = mod._run_chunk
+        calls = []
+
+        def fails_first(chunk):
+            calls.append(chunk)
+            if len(calls) == 1:
+                time.sleep(0.25)
+                raise RuntimeError("worker ran out of memory")
+            return real(chunk)
+
+        monkeypatch.setattr(mod, "_run_chunk", fails_first)
+
+        async def main():
+            sched = CampaignScheduler(tmp_path, workers=0)
+            alice = sched.submit(spec("alice", benches=BENCHES[:1]))
+            await asyncio.sleep(0.05)
+            bob = sched.submit(spec("bob", benches=BENCHES[:1]))
+            await asyncio.wait_for(finished(alice, bob), timeout=60)
+            return alice, bob
+
+        alice, bob = run(main())
+        # alice's batch failed, so alice fails; bob, waiting on the same
+        # cells, runs them himself instead of inheriting the failure.
+        assert alice.state == STATE_FAILED
+        assert bob.state == STATE_FINISHED, bob.error
+        assert bob.stats["executed"] == bob.total
+
     def test_cancel_is_idempotent_and_unknown_id_raises(self, tmp_path):
         from repro.service import ServiceError
 
@@ -202,13 +238,13 @@ class TestRestartResume:
 
         real = mod._run_chunk
 
-        def uneven_chunk(payload):
-            items = payload[6]
+        def uneven_chunk(chunk):
             # First benchmark's batch lands fast; the second is still
             # in flight when the kill arrives.
-            slow = any(b.full_name.endswith("symm") for _i, b, _v in items)
+            slow = any(t.benchmark.full_name.endswith("symm")
+                       for t in chunk.tasks)
             time.sleep(1.0 if slow else 0.05)
-            return real(payload)
+            return real(chunk)
 
         monkeypatch.setattr(mod, "_run_chunk", uneven_chunk)
 
@@ -270,6 +306,65 @@ class TestRestartResume:
         assert fresh.id != cid
         # Fully-journaled campaign resumed without executing anything.
         assert resumed.stats["resumed"] == resumed.total
+
+
+class TestPoolFailures:
+    """Real worker pools (``workers=1``): a dead worker or a failed
+    dispatch must not take down later campaigns."""
+
+    def test_dead_pool_worker_is_replaced(self, tmp_path):
+        async def main():
+            sched = CampaignScheduler(tmp_path, workers=1)
+            try:
+                before = {p.pid for p in multiprocessing.active_children()}
+                first = sched.submit(spec("alice", benches=BENCHES[:1]))
+                await finished(first)
+                workers = [p.pid for p in multiprocessing.active_children()
+                           if p.pid not in before]
+                assert workers, "the first campaign started no pool worker"
+                os.kill(workers[0], signal.SIGKILL)
+                second = sched.submit(spec("bob", benches=BENCHES[1:]))
+                await asyncio.wait_for(finished(second), timeout=60)
+                return first, second
+            finally:
+                sched.shutdown_pool(wait=True)
+
+        first, second = run(main())
+        assert first.state == STATE_FINISHED
+        assert second.state == STATE_FINISHED, second.error
+        assert second.stats["executed"] == second.total
+
+    def test_failed_dispatch_fails_only_its_campaign(
+        self, tmp_path, monkeypatch
+    ):
+        real = CampaignScheduler._ensure_pool
+        failures = [OSError("cannot start worker processes")]
+
+        def flaky_pool(self):
+            if failures:
+                raise failures.pop()
+            return real(self)
+
+        monkeypatch.setattr(CampaignScheduler, "_ensure_pool", flaky_pool)
+
+        async def main():
+            sched = CampaignScheduler(tmp_path, workers=1)
+            try:
+                alice = sched.submit(spec("alice"))
+                await finished(alice)
+                # bob wants alice's cells: her failed dispatch must not
+                # leave them claimed by futures nobody resolves.
+                bob = sched.submit(spec("bob"))
+                await asyncio.wait_for(finished(bob), timeout=60)
+                return alice, bob
+            finally:
+                sched.shutdown_pool(wait=True)
+
+        alice, bob = run(main())
+        assert alice.state == STATE_FAILED
+        assert "OSError" in alice.error
+        assert bob.state == STATE_FINISHED, bob.error
+        assert bob.completed == bob.total
 
 
 class TestEventOrder:

@@ -184,6 +184,25 @@ class TestWorkers:
         assert parallel.best_label == serial.best_label
         assert parallel.trajectory == serial.trajectory
 
+    def test_workers_need_no_process_pool(self, monkeypatch):
+        import concurrent.futures
+
+        serial = run_tune(
+            TuneSpec(strategy="random", samples=24, trials=2, seed=5)
+        )
+
+        def no_pool(self, *args, **kwargs):
+            raise OSError("this host cannot start worker processes")
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "__init__", no_pool
+        )
+        pooled = run_tune(
+            TuneSpec(strategy="random", samples=24, trials=2, seed=5, workers=2)
+        )
+        assert pooled.complete
+        assert pooled.trajectory == serial.trajectory
+
 
 class TestPlacementScenarios:
     def test_pinned_benchmark_space_is_single_core_only(self):
