@@ -497,7 +497,6 @@ def tuning_markdown(tune) -> str:
         f"- effort: {tune.evaluations} evaluation(s), "
         f"{tune.from_journal} journal replay(s), "
         f"{tune.from_cache} cache hit(s)"
-        + ("" if tune.complete else " — **search incomplete**")
     )
     if tune.rungs:
         lines += ["", "| rung | configs | trials | best | score |",

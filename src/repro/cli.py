@@ -39,7 +39,7 @@ Usage::
         [--strategy grid|random|successive-halving]
         [--samples N] [--eta K] [--seed N]
         [--trials N] [--min-trials N]
-        [--cache-dir DIR] [--resume] [--shard I/N]
+        [--cache-dir DIR] [--resume]
         [--workers N] [--out tune.json]           # (see docs/TUNING.md)
 """
 
@@ -732,48 +732,37 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache_dir=args.cache_dir,
         resume=args.resume,
-        shard=args.shard,
         workers=args.workers,
     )
     recorder = telemetry_mod.Telemetry() if args.metrics else None
     with telemetry_mod.active(recorder):
         result = run_tune(spec)
 
-    if not result.complete:
-        waiting = result.meta.get("waiting", [])
+    print(f"scenario  {result.scenario}")
+    print(f"strategy  {result.strategy} on {result.machine}")
+    print(
+        f"best      {result.best_label}  "
+        f"(score {result.best_score:.6g}, model {result.best_time_s:.6g}s)"
+    )
+    for key, value in sorted(result.best_detail.items()):
+        if isinstance(value, float):
+            print(f"          {key} = {value:.4g}")
+        else:
+            print(f"          {key} = {value}")
+    if result.known_best_label is not None:
+        verdict = "rediscovered" if result.rediscovered else "MISSED"
+        print(f"known     {result.known_best_label}  [{verdict}]")
+    print(
+        f"effort    {result.evaluations} evaluations, "
+        f"{result.from_journal} from journal, "
+        f"{result.from_cache} from cache, {len(result.rungs)} rung(s)"
+    )
+    for rung in result.rungs:
         print(
-            f"search incomplete: shard {args.shard[0]}/{args.shard[1]} is "
-            f"waiting on {len(waiting)} candidate(s) from sibling shards; "
-            f"re-run all shards (with --resume) to finish"
-            if args.shard
-            else "search incomplete"
+            f"  rung {rung.rung}: {rung.configs:4d} configs x "
+            f"{rung.trials} trial(s) -> best {rung.best_label} "
+            f"({rung.best_score:.6g})"
         )
-    else:
-        print(f"scenario  {result.scenario}")
-        print(f"strategy  {result.strategy} on {result.machine}")
-        print(
-            f"best      {result.best_label}  "
-            f"(score {result.best_score:.6g}, model {result.best_time_s:.6g}s)"
-        )
-        for key, value in sorted(result.best_detail.items()):
-            if isinstance(value, float):
-                print(f"          {key} = {value:.4g}")
-            else:
-                print(f"          {key} = {value}")
-        if result.known_best_label is not None:
-            verdict = "rediscovered" if result.rediscovered else "MISSED"
-            print(f"known     {result.known_best_label}  [{verdict}]")
-        print(
-            f"effort    {result.evaluations} evaluations, "
-            f"{result.from_journal} from journal, "
-            f"{result.from_cache} from cache, {len(result.rungs)} rung(s)"
-        )
-        for rung in result.rungs:
-            print(
-                f"  rung {rung.rung}: {rung.configs:4d} configs x "
-                f"{rung.trials} trial(s) -> best {rung.best_label} "
-                f"({rung.best_score:.6g})"
-            )
     if recorder is not None:
         snapshot = recorder.metrics.snapshot()
         for name, value in sorted(snapshot.get("counters", {}).items()):
@@ -782,7 +771,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(result.to_json() + "\n")
         print(f"wrote {args.out}")
-    return 0 if result.complete else 3
+    return 0
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -1129,7 +1118,8 @@ def main(argv: "list[str] | None" = None) -> int:
     p_tune.add_argument(
         "--trials", type=int, default=3,
         help="full-fidelity trials per config (default: 3, the paper's "
-             "exploration-phase count; also the successive-halving cap)",
+             "exploration-phase count; also the successive-halving cap, "
+             "at least --min-trials)",
     )
     p_tune.add_argument(
         "--min-trials", type=int, default=1,
@@ -1155,12 +1145,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_tune.add_argument(
         "--resume", action="store_true",
         help="resume an interrupted search from its journal in --cache-dir",
-    )
-    p_tune.add_argument(
-        "--shard", type=_parse_shard, default=None, metavar="I/N",
-        help="evaluate every N-th candidate only (1-based shard of each "
-             "strategy batch); shards share --cache-dir and re-run with "
-             "--resume until the search completes",
     )
     p_tune.add_argument(
         "--workers", type=int, default=1,

@@ -68,7 +68,6 @@ from repro.harness.journalstore import (
     DirectoryJournalStore,
     open_journal,
     shard_cells,
-    shard_journal_name,
     validate_shard,
 )
 from repro.harness.results import (
@@ -371,8 +370,8 @@ class CellCache:
 # -- journal -------------------------------------------------------------
 
 # The journal itself lives in repro.harness.journalstore (one
-# append-only shard journal per (campaign fingerprint, shard i/N), a
-# pluggable JournalStore, and the cross-shard merge); CampaignJournal
+# append-only shard journal per (campaign fingerprint, shard i/N) in a
+# DirectoryJournalStore, and the cross-shard merge); CampaignJournal
 # is re-exported above for compatibility with existing imports.
 
 
@@ -683,14 +682,6 @@ class CampaignEngine:
         if self.cell_timeout_s is not None:
             parts.append(f"timeout={self.cell_timeout_s}")
         return ",".join(parts)
-
-    @property
-    def journal_path(self) -> Path | None:
-        """This shard's own journal file (the legacy ``journal.jsonl``
-        for an unsharded campaign)."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / shard_journal_name(*self.shard)
 
     @property
     def journal_store(self) -> "DirectoryJournalStore | None":

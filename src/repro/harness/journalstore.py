@@ -1,5 +1,5 @@
-"""Sharded campaign journals: per-shard checkpoint streams, a pluggable
-store, and cross-shard merge/resume.
+"""Sharded campaign journals: per-shard checkpoint streams, their
+directory store, and cross-shard merge/resume.
 
 The paper's 540-cell grid was measured across many Fugaku nodes, but
 the original checkpoint layer was a single per-process
@@ -25,16 +25,16 @@ subsystem:
     cell list and the shard count — no hashing, no randomness — so
     every node, every process, and every ``PYTHONHASHSEED`` agrees.
 
-:class:`JournalStore` / :class:`DirectoryJournalStore`
-    The storage interface (one journal per ``(campaign_fingerprint,
-    shard i/N)``) and its local-directory backend.  The unsharded
-    journal keeps its legacy name ``journal.jsonl``; shard ``i`` of
-    ``N`` writes ``journal-<i>of<N>.jsonl`` next to it.
+:class:`DirectoryJournalStore`
+    One journal per ``(campaign_fingerprint, shard i/N)`` in one
+    directory.  The unsharded journal keeps its legacy name
+    ``journal.jsonl``; shard ``i`` of ``N`` writes
+    ``journal-<i>of<N>.jsonl`` next to it.
 
 :func:`open_journal`
-    The resume procedure the engine and the campaign service share:
-    replay the merged stream, open the shard's journal append-only, and
-    re-persist what it lacks.
+    The resume procedure the engine, the campaign service and the tuner
+    share: replay the merged stream, open the shard's journal
+    append-only, and re-persist what it lacks.
 
 :func:`merge_journals` / :class:`MergedJournal`
     Folds any subset of shard journals — plus a legacy single
@@ -137,23 +137,6 @@ def shard_cells(
     return tuple(c for c, owner in zip(cells, owners) if owner == index)
 
 
-def shard_indices(n: int, index: int, count: int) -> tuple[int, ...]:
-    """Positions of a length-``n`` batch owned by shard ``index``/``count``,
-    dealt round-robin by position.
-
-    The benchmark-major :func:`shard_cells` assignment exists to keep one
-    benchmark's compiled kernels on one shard — useless for a tuning
-    search, where every candidate shares a single scenario.  Tuning
-    batches shard positionally instead: position ``i`` goes to shard
-    ``(i % count) + 1``, so every shard gets an even slice of every
-    strategy rung.
-    """
-    index, count = validate_shard((index, count))
-    if n < 0:
-        raise HarnessError(f"batch length must be >= 0, got {n}")
-    return tuple(i for i in range(n) if i % count == index - 1)
-
-
 # -- one journal ---------------------------------------------------------
 
 
@@ -165,8 +148,9 @@ class CampaignJournal:
     fingerprint over everything that affects results); each completed
     cell appends one ``cell`` line, flushed immediately so a killed run
     loses at most the in-flight cells.  A final ``done`` line marks
-    clean completion of the shard.  Partial trailing lines (from a kill
-    mid-write) are ignored on load.
+    clean completion of the shard; resuming a journal that already ends
+    in ``done`` and appending nothing leaves it byte-identical.
+    Partial trailing lines (from a kill mid-write) are ignored on load.
 
     Resume safety: :meth:`start` with ``keep=True`` appends to a
     matching existing journal instead of rewriting it — checkpointed
@@ -179,6 +163,9 @@ class CampaignJournal:
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._fh = None
+        #: The file ends in ``done`` and nothing was appended since:
+        #: :meth:`done` then writes no second marker.
+        self._finished = False
 
     # -- writing ---------------------------------------------------------
 
@@ -202,10 +189,12 @@ class CampaignJournal:
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         shard = validate_shard(shard)
+        self._finished = False
         if keep:
             loaded = self.load()
             if loaded is not None and loaded[0].get("fingerprint") == fingerprint:
                 existing = {(r.benchmark, r.variant) for r in loaded[1]}
+                self._finished = loaded[2]
                 self._fh = open(self.path, "a")
                 self._ensure_trailing_newline()
                 return existing
@@ -241,12 +230,14 @@ class CampaignJournal:
     def append(self, record: RunRecord) -> None:
         if self._fh is not None:
             self._write({"kind": "cell", "record": record_to_dict(record)})
+            self._finished = False
 
     def done(self) -> None:
-        if self._fh is not None:
+        """Mark clean completion and close.  A resumed journal that
+        already ended in ``done`` and gained no record is left as is."""
+        if self._fh is not None and not self._finished:
             self._write({"kind": "done"})
-            self._fh.close()
-            self._fh = None
+        self.close()
 
     def close(self) -> None:
         if self._fh is not None:
@@ -264,7 +255,7 @@ class CampaignJournal:
     # -- reading ---------------------------------------------------------
 
     def load(self) -> "tuple[dict, list[RunRecord], bool] | None":
-        """(header, completed records, finished cleanly) or ``None``."""
+        """(header, completed records, ends in ``done``) or ``None``."""
         try:
             text = self.path.read_text()
         except OSError:
@@ -285,6 +276,7 @@ class CampaignJournal:
                     records.append(record_from_dict(doc["record"]))
                 except (HarnessError, KeyError, TypeError):
                     continue
+                finished = False
             elif kind == "done":
                 finished = True
         if header is None:
@@ -418,9 +410,9 @@ def merge_journals(
         )
     if fingerprint is None:
         return None
-    # Canonical cell order for the resumable map; stray records for
-    # cells outside the header list (should not happen) keep their
-    # merge order at the end rather than being dropped.
+    # Canonical cell order for the resumable map; records for cells
+    # outside the header list (a tuning search's later rungs) keep
+    # their merge order at the end rather than being dropped.
     ordered: dict[CellName, RunRecord] = {}
     for name in cells:
         if name in merged:
@@ -480,39 +472,18 @@ def merged_result(
 # -- the store -----------------------------------------------------------
 
 
-class JournalStore:
-    """Where a campaign's shard journals live.
+class DirectoryJournalStore:
+    """Where a campaign's shard journals live: sibling files in one
+    directory.
 
     One journal exists per ``(campaign_fingerprint, shard i/N)``; the
-    store hands out journals for writing and enumerates/merges whatever
-    subset is present for resume.  The local-directory backend below is
-    the only implementation today; an object-store backend only needs
-    these four methods.
-    """
-
-    def journal(self, shard: "tuple[int, int] | None" = None) -> CampaignJournal:
-        raise NotImplementedError
-
-    def journal_paths(self) -> tuple[Path, ...]:
-        raise NotImplementedError
-
-    def merge(
-        self, expect_fingerprint: "str | None" = None
-    ) -> "MergedJournal | None":
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-class DirectoryJournalStore(JournalStore):
-    """Shard journals as sibling files in one directory.
-
-    The unsharded journal is the legacy ``journal.jsonl``; shard ``i``
-    of ``N`` lives in ``journal-<i>of<N>.jsonl``.  A directory shared
-    over a parallel file system (the multi-node campaign case) needs no
-    coordination: every shard appends only to its own file, and any
-    node can merge the visible subset.
+    store hands out journals for writing and enumerates and merges
+    whatever subset is present for resume.  The unsharded journal is
+    the legacy ``journal.jsonl``; shard ``i`` of ``N`` lives in
+    ``journal-<i>of<N>.jsonl``.  A directory shared over a parallel
+    file system (the multi-node campaign case) needs no coordination:
+    every shard appends only to its own file, and any node can merge
+    the visible subset.
     """
 
     def __init__(self, root: "str | Path") -> None:
@@ -543,12 +514,9 @@ class DirectoryJournalStore(JournalStore):
     ) -> "MergedJournal | None":
         return merge_journals(self.journal_paths(), expect_fingerprint)
 
-    def describe(self) -> str:
-        return str(self.root)
-
 
 def open_journal(
-    store: JournalStore,
+    store: DirectoryJournalStore,
     fingerprint: str,
     machine: str,
     cells: Sequence[CellName],
@@ -559,26 +527,31 @@ def open_journal(
     """Open shard ``shard``'s journal of a campaign; returns it with the
     records that resume replays (canonical order, empty on a fresh start).
 
-    The resume procedure the engine and the service share.  With
-    ``resume`` the *merged* stream of every journal in ``store`` is
+    The resume procedure the engine, the service and the tuner share.
+    With ``resume`` the *merged* stream of every journal in ``store`` is
     replayed (raising :class:`HarnessError` when one belongs to another
     campaign), so any node can pick the campaign back up; the shard's
     own journal is opened append-only and re-persists the replayed
     records it lacks, so it alone suffices for the next resume.  A
     fresh start reads nothing and atomically replaces the journal with
-    a header-only one.  ``cells`` is the full campaign cell list.
+    a header-only one.  ``cells`` is the full campaign cell list; a
+    shard replays only its own slice of it, while an unsharded campaign
+    replays every merged record, including records for cells the header
+    does not list (a tuning search's header lists only its first rung).
     """
     shard = validate_shard(shard)
     replayed: dict[CellName, RunRecord] = {}
     if resume:
         merged = store.merge(expect_fingerprint=fingerprint)
         if merged is not None:
-            mine = set(shard_cells(cells, *shard))
-            replayed = {
-                name: record
-                for name, record in merged.records.items()
-                if name in mine
-            }
+            replayed = merged.records
+            if shard != (1, 1):
+                mine = set(shard_cells(cells, *shard))
+                replayed = {
+                    name: record
+                    for name, record in replayed.items()
+                    if name in mine
+                }
     journal = store.journal(shard)
     persisted = journal.start(fingerprint, machine, cells, shard=shard, keep=resume)
     for name, record in replayed.items():

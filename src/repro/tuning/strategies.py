@@ -202,12 +202,11 @@ def make_strategy(
     eta: int = 3,
     trials: int = 3,
     min_trials: int = 1,
-    max_trials: "int | None" = None,
 ) -> Strategy:
     """Build a strategy from CLI-ish knobs.
 
-    ``trials`` is the full fidelity (grid/random per-config trials and
-    the successive-halving cap unless ``max_trials`` overrides it).
+    ``trials`` is the full fidelity: grid/random per-config trials and
+    the successive-halving cap, which must not be below ``min_trials``.
     """
     if name == GridStrategy.name:
         return GridStrategy(trials=trials)
@@ -221,7 +220,7 @@ def make_strategy(
             eta=eta,
             seed=seed,
             min_trials=min_trials,
-            max_trials=max_trials if max_trials is not None else max(trials, min_trials),
+            max_trials=trials,
         )
     raise HarnessError(
         f"unknown strategy {name!r}; choose from grid, random, "

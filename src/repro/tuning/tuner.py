@@ -9,20 +9,15 @@ scored candidate through the same machinery measurement campaigns use:
 * **journal resume** — every (config, fidelity) evaluation appends one
   :class:`~repro.harness.results.RunRecord` to a
   :class:`~repro.harness.journalstore.CampaignJournal` under
-  ``<cache_dir>/tuning/<scenario>/``.  A killed search resumed with
-  ``TuneSpec(resume=True)`` replays the journaled records and appends
-  only the remainder — byte-identical to the uninterrupted run, the
-  same guarantee the sharded campaign engine makes.
+  ``<cache_dir>/tuning/<scenario>/``, opened through
+  :func:`~repro.harness.journalstore.open_journal` like a campaign's.
+  A killed search resumed with ``TuneSpec(resume=True)`` replays the
+  journaled records and appends only the remainder — byte-identical to
+  the uninterrupted run.  Resuming a finished search appends nothing.
 * **content-addressed caching** — finished evaluations land in a
   :class:`~repro.harness.engine.CellCache` keyed by scenario
   fingerprint + candidate identity (strategy-independent, so a random
   probe warms the successive-halving run that follows).
-* **sharding** — ``TuneSpec(shard=(i, n))`` evaluates every ``n``-th
-  candidate of each batch (:func:`~repro.harness.journalstore.
-  shard_indices`), journaling into its own shard file.  Promotion needs
-  the whole rung, so a shard that cannot see its siblings' records yet
-  returns a partial result; re-running (any shard, any node, shared
-  directory) completes the search.
 * **in-process evaluation** — each batch's pending candidates are
   scored in one batched scenario call in this process.  A search is
   too small to pay for a process pool, so ``TuneSpec.workers`` is
@@ -45,8 +40,7 @@ from repro.harness.engine import CellCache
 from repro.harness.journalstore import (
     CampaignJournal,
     DirectoryJournalStore,
-    shard_indices,
-    validate_shard,
+    open_journal,
 )
 from repro.harness.results import RunRecord
 from repro.machine.machine import Machine
@@ -101,8 +95,6 @@ class TuneSpec:
     cache_dir: "str | Path | None" = None
     #: Resume an interrupted search from its journal.
     resume: bool = False
-    #: Evaluate only every n-th candidate: 1-based ``(index, count)``.
-    shard: "tuple[int, int] | None" = None
     #: Accepted and ignored: every search evaluates in-process.
     workers: int = 1
 
@@ -144,7 +136,7 @@ class TuneResult:
     scenario: str
     strategy: str
     machine: str
-    #: Winner identity and score (``None``/``inf`` when incomplete).
+    #: Winner identity and score.
     best_label: str
     best_score: float
     #: Noise-free model time and scenario detail for the winner.
@@ -155,8 +147,7 @@ class TuneResult:
     from_cache: int = 0
     rungs: tuple[RungSummary, ...] = ()
     trajectory: tuple[TrajectoryPoint, ...] = ()
-    #: False when a sharded search stopped at a rung barrier waiting
-    #: for sibling shards.
+    #: Always true: every search runs to its winner.
     complete: bool = True
     #: The scenario's calibrated answer, when it declares one.
     known_best_label: "str | None" = None
@@ -402,56 +393,33 @@ def run_tune(
         min_trials=spec.min_trials,
     )
     space = scenario.space(machine)
-    shard = validate_shard(spec.shard)
     search_fp = _search_fingerprint(scenario, strategy, machine, spec)
     eval_fp = _eval_fingerprint(scenario, machine)
     bench_name = _tune_benchmark_name(scenario)
 
-    store = journal = cache = None
+    gen = strategy.run(space)
+    batch = next(gen)
+    journal: "CampaignJournal | None" = None
+    cache: "CellCache | None" = None
     known: dict[str, RunRecord] = {}
     if spec.cache_dir is not None:
         root = Path(spec.cache_dir) / "tuning" / scenario.name.replace(":", "-").replace("/", "-")
-        store = DirectoryJournalStore(root)
         cache = CellCache(root / "cells")
-        if spec.resume:
-            merged = store.merge(expect_fingerprint=search_fp)
-            if merged is not None:
-                known = {
-                    variant: record
-                    for (_bench, variant), record in merged.records.items()
-                }
-
-    gen = strategy.run(space)
-    batch = next(gen)
-    prior_finished = False
-    appended = 0
-    if store is not None:
-        journal = store.journal(spec.shard)
-        if spec.resume:
-            loaded = journal.load()
-            prior_finished = bool(
-                loaded
-                and loaded[2]
-                and loaded[0].get("fingerprint") == search_fp
-            )
-        # keep=spec.resume: a resume appends to the matching journal
-        # (whose records `known` already carries, via the merge above);
-        # a fresh start atomically replaces it with a header-only file.
-        journal.start(
+        # The header lists rung 0; a resume replays every journaled
+        # record, later rungs included.
+        journal, replayed = open_journal(
+            DirectoryJournalStore(root),
             search_fp,
             machine.name,
             [(bench_name, cand.name) for cand in batch],
-            shard=spec.shard,
-            keep=spec.resume,
+            resume=spec.resume,
         )
+        known = {variant: record for (_bench, variant), record in replayed.items()}
 
     evaluations = from_journal = from_cache = 0
     trajectory: list[TrajectoryPoint] = []
     rungs: list[RungSummary] = []
     best_so_far = float("inf")
-    winner: "Candidate | None" = None
-    complete = True
-    waiting: list[str] = []
 
     try:
         with telemetry.span(
@@ -469,7 +437,6 @@ def run_tune(
                     records: dict[int, RunRecord] = {}
                     rung_journal = rung_cache = 0
                     pending: list[int] = []
-                    owned = set(shard_indices(len(batch), *shard))
                     for i, cand in enumerate(batch):
                         held = known.get(cand.name)
                         if held is not None:
@@ -483,19 +450,17 @@ def run_tune(
                                 known[cand.name] = hit
                                 rung_cache += 1
                                 telemetry.count("tuner.cache_hits")
-                                # Owned cache hits are journaled too, so
-                                # the journal alone replays the search.
-                                if i in owned and journal is not None:
+                                # Cache hits are journaled too, so the
+                                # journal alone replays the search.
+                                if journal is not None:
                                     journal.append(hit)
-                                    appended += 1
                                 continue
                         pending.append(i)
 
-                    mine = [i for i in pending if i in owned]
                     fresh = _evaluate_chunk(
-                        scenario, machine, [batch[i] for i in mine]
+                        scenario, machine, [batch[i] for i in pending]
                     )
-                    for i, record in zip(mine, fresh):
+                    for i, record in zip(pending, fresh):
                         records[i] = record
                         known[batch[i].name] = record
                         evaluations += 1
@@ -504,7 +469,6 @@ def run_tune(
                             cache.put(_cache_key(eval_fp, batch[i]), record)
                         if journal is not None:
                             journal.append(record)
-                            appended += 1
                             if (
                                 stop_after_evaluations is not None
                                 and evaluations >= stop_after_evaluations
@@ -514,28 +478,6 @@ def run_tune(
                                     f"(kill-switch); resume from "
                                     f"{journal.path}"
                                 )
-
-                    missing = [i for i in pending if i not in owned]
-                    if missing and store is not None:
-                        # Rung barrier: look for sibling shards' records.
-                        merged = store.merge(expect_fingerprint=search_fp)
-                        if merged is not None:
-                            for (_b, variant), record in merged.records.items():
-                                known.setdefault(variant, record)
-                        still = [
-                            i
-                            for i in missing
-                            if batch[i].name not in known
-                        ]
-                        for i in list(missing):
-                            if batch[i].name in known:
-                                records[i] = known[batch[i].name]
-                                rung_journal += 1
-                        missing = still
-                    if missing:
-                        complete = False
-                        waiting = [batch[i].name for i in missing]
-                        break
 
                     from_journal += rung_journal
                     from_cache += rung_cache
@@ -565,7 +507,7 @@ def run_tune(
                             rung=rung_index,
                             trials=rung_trials,
                             configs=len(batch),
-                            evaluated=len(mine),
+                            evaluated=len(pending),
                             from_journal=rung_journal,
                             from_cache=rung_cache,
                             best_label=rung_best_label,
@@ -576,38 +518,16 @@ def run_tune(
                 try:
                     batch = gen.send(tuple(scores))
                 except StopIteration as stop:
-                    winner = stop.value
+                    winner: Candidate = stop.value
                     break
                 rung_index += 1
-        # A pure replay of an already-finished journal must not append a
-        # second ``done`` line: resuming a complete search is a no-op on
-        # disk (the byte-identity contract).
-        if journal is not None and complete and not (prior_finished and not appended):
+        if journal is not None:
             journal.done()
     finally:
         if journal is not None:
             journal.close()
 
     known_best = scenario.known_best(machine)
-    if winner is None:
-        return TuneResult(
-            scenario=scenario.name,
-            strategy=strategy.name,
-            machine=machine.name,
-            best_label="",
-            best_score=float("inf"),
-            best_time_s=float("inf"),
-            evaluations=evaluations,
-            from_journal=from_journal,
-            from_cache=from_cache,
-            rungs=tuple(rungs),
-            trajectory=tuple(trajectory),
-            complete=False,
-            known_best_label=known_best.label if known_best else None,
-            journal=str(journal.path) if journal is not None else None,
-            meta={"waiting": waiting, "shard": list(shard)},
-        )
-
     final = scenario.evaluate((winner.config,), machine)[0]
     winner_record = known.get(winner.name)
     best_score = (
@@ -628,8 +548,7 @@ def run_tune(
         from_cache=from_cache,
         rungs=tuple(rungs),
         trajectory=tuple(trajectory),
-        complete=True,
         known_best_label=known_best.label if known_best else None,
         journal=str(journal.path) if journal is not None else None,
-        meta={"shard": list(shard), "space_size": space.size},
+        meta={"space_size": space.size},
     )

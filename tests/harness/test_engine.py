@@ -265,6 +265,24 @@ class TestJournalResume:
         ).run()
         assert resumed.records == fresh.records
 
+    def test_resuming_a_finished_campaign_appends_nothing(
+        self, a64fx_machine, tmp_path
+    ):
+        def engine(**kw):
+            return CampaignEngine(
+                a64fx_machine, variants=("GNU",),
+                benchmarks=micro_suite().benchmarks[:1],
+                cache_dir=tmp_path, **kw,
+            )
+
+        first = engine().run()
+        journal = tmp_path / "journal.jsonl"
+        finished = journal.read_bytes()
+        again = engine(resume=True).run()
+        assert again.meta["resumed"] == 1
+        assert again.records == first.records
+        assert journal.read_bytes() == finished
+
     def test_resume_rejects_foreign_journal(self, a64fx_machine, tmp_path):
         self._engine(a64fx_machine, tmp_path).run()
         other = CampaignEngine(

@@ -1,7 +1,7 @@
 """Tests for the sharded journal store: deterministic shard
 assignment, append-only resume safety (the truncate-then-rewrite
-data-loss fix), cross-shard merge, kernel-cache chaos, and the
-serial-vs-sharded equality contract."""
+data-loss fix), the finished-journal replay rule, cross-shard merge,
+kernel-cache chaos, and the serial-vs-sharded equality contract."""
 
 import dataclasses
 import json
@@ -26,8 +26,8 @@ from repro.harness.journalstore import (
     DirectoryJournalStore,
     merge_journals,
     merged_result,
+    open_journal,
     shard_cells,
-    shard_indices,
     shard_journal_name,
     shard_of,
     validate_shard,
@@ -98,34 +98,6 @@ class TestShardAssignment:
             shard_journal_name(5, 4)
 
 
-class TestShardIndices:
-    """Positional round-robin sharding (tuning batches, not cells)."""
-
-    def test_round_robin_partition(self):
-        pieces = [shard_indices(10, i, 3) for i in (1, 2, 3)]
-        assert pieces[0] == (0, 3, 6, 9)
-        assert pieces[1] == (1, 4, 7)
-        assert pieces[2] == (2, 5, 8)
-        merged = sorted(i for piece in pieces for i in piece)
-        assert merged == list(range(10))
-
-    def test_single_shard_owns_everything(self):
-        assert shard_indices(5, 1, 1) == (0, 1, 2, 3, 4)
-
-    def test_empty_batch(self):
-        assert shard_indices(0, 2, 3) == ()
-
-    def test_more_shards_than_items(self):
-        assert shard_indices(2, 3, 4) == ()
-        assert shard_indices(2, 1, 4) == (0,)
-
-    def test_validation(self):
-        with pytest.raises(HarnessError):
-            shard_indices(4, 3, 2)
-        with pytest.raises(HarnessError):
-            shard_indices(-1, 1, 1)
-
-
 class TestAppendOnlyJournal:
     """The data-loss fix: an existing journal is never truncated."""
 
@@ -148,6 +120,36 @@ class TestAppendOnlyJournal:
         assert [(r.benchmark, r.variant) for r in records] == [
             ("s.a", "GNU"), ("s.b", "GNU")]
         assert finished
+
+    def test_resuming_a_finished_journal_writes_no_second_done(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = CampaignJournal(path)
+        journal.start("fp", "A64FX", [("s.a", "GNU")])
+        journal.append(_record("s.a", "GNU"))
+        journal.done()
+        finished = path.read_bytes()
+
+        again = CampaignJournal(path)
+        again.start("fp", "A64FX", [("s.a", "GNU")], keep=True)
+        again.done()
+        assert path.read_bytes() == finished
+        # A record appended after the old marker earns a new one.
+        again = CampaignJournal(path)
+        again.start("fp", "A64FX", [("s.a", "GNU")], keep=True)
+        again.append(_record("s.b", "GNU"))
+        again.done()
+        assert path.read_text().splitlines()[-1] == '{"kind": "done"}'
+        assert CampaignJournal(path).load()[2]
+
+    def test_record_after_done_is_not_finished(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = CampaignJournal(path)
+        journal.start("fp", "A64FX", [("s.a", "GNU")])
+        journal.done()
+        with open(path, "a") as fh:
+            fh.write('{"kind": "cell", "record": %s}\n'
+                     % json.dumps(record_to_dict(_record("s.a", "GNU"))))
+        assert not CampaignJournal(path).load()[2]
 
     def test_keep_with_foreign_fingerprint_starts_fresh(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -268,6 +270,22 @@ class TestMerge:
         assert len(partial.records) == 1
         assert partial.meta["missing"] == 1
         assert partial.meta["merged_from"][0]["shard"] == [1, 2]
+
+
+class TestOpenJournal:
+    def test_unsharded_resume_replays_records_outside_the_header(self, tmp_path):
+        # A tuning search's header lists only its first rung; the later
+        # rungs' records must replay too.
+        cells = [("s.a", "GNU"), ("s.b", "GNU")]
+        journal = CampaignJournal(tmp_path / "journal.jsonl")
+        journal.start("fp", "A64FX", cells)
+        journal.append(_record("s.a", "GNU"))
+        journal.append(_record("s.c", "GNU@t3"))
+        journal.close()
+        journal, replayed = open_journal(
+            DirectoryJournalStore(tmp_path), "fp", "A64FX", cells, resume=True)
+        journal.close()
+        assert list(replayed) == [("s.a", "GNU"), ("s.c", "GNU@t3")]
 
 
 class _Boom(Exception):

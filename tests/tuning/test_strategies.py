@@ -190,6 +190,17 @@ class TestMakeStrategy:
         assert isinstance(sh, SuccessiveHalvingStrategy)
         assert sh.max_trials == 3
 
+    def test_successive_halving_cap_is_trials(self):
+        # A cap below min_trials is rejected, not widened to min_trials:
+        # trials=0 would otherwise run every rung at 1 trial, and
+        # min_trials=5 with trials=3 every rung at 5.
+        with pytest.raises(HarnessError, match="min_trials <= max_trials"):
+            make_strategy("successive-halving", trials=0)
+        with pytest.raises(HarnessError, match="min_trials <= max_trials"):
+            make_strategy("successive-halving", trials=3, min_trials=5)
+        sh = make_strategy("successive-halving", trials=5, min_trials=5)
+        assert sh.min_trials == sh.max_trials == 5
+
     def test_random_needs_samples(self):
         with pytest.raises(HarnessError):
             make_strategy("random")
