@@ -40,7 +40,7 @@ Usage::
         [--samples N] [--eta K] [--seed N]
         [--trials N] [--min-trials N]
         [--cache-dir DIR] [--resume]
-        [--workers N] [--out tune.json]           # (see docs/TUNING.md)
+        [--out tune.json]                         # (see docs/TUNING.md)
 """
 
 from __future__ import annotations
@@ -732,7 +732,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         cache_dir=args.cache_dir,
         resume=args.resume,
-        workers=args.workers,
     )
     recorder = telemetry_mod.Telemetry() if args.metrics else None
     with telemetry_mod.active(recorder):
@@ -1145,10 +1144,6 @@ def main(argv: "list[str] | None" = None) -> int:
     p_tune.add_argument(
         "--resume", action="store_true",
         help="resume an interrupted search from its journal in --cache-dir",
-    )
-    p_tune.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted and ignored: searches evaluate in-process",
     )
     p_tune.add_argument(
         "--metrics", action="store_true",

@@ -24,6 +24,8 @@ Persistence has three layers, all rooted at ``cache_dir``:
 * ``cells/``   — content-addressed finished-cell records keyed by
   :func:`cell_cache_key`, so re-runs and flag ablations skip unchanged
   cells entirely (zero model re-evaluations on a warm cache);
+  both caches are codecs over one :class:`repro.caching.ContentStore`,
+  with one policy for corrupt entries and failed writes;
 * ``journal.jsonl`` / ``journal-<i>of<n>.jsonl`` — append-only
   per-(campaign, shard) journals (:mod:`repro.harness.journalstore`);
   an interrupted campaign resumes (``resume=True``) by replaying the
@@ -46,18 +48,16 @@ import dataclasses
 import enum
 import hashlib
 import json
-import logging
 import math
 import os
 import time
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.atomicio import atomic_write
+from repro.caching import ContentStore, IdentityMemo
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.errors import HarnessError
@@ -105,8 +105,6 @@ from repro.telemetry import (
     telemetry_block,
 )
 from repro.telemetry.history import summarize_histograms
-
-_LOG = logging.getLogger(__name__)
 
 #: Bumped when the engine's journal/cell formats change incompatibly.
 ENGINE_VERSION = 1
@@ -187,21 +185,25 @@ class CampaignEvent:
 EventHandler = Callable[[CampaignEvent], None]
 
 
+def completion_kind(record: RunRecord) -> EventKind:
+    """The completion event an executed cell's record reports: the
+    engine and the campaign service announce cells alike."""
+    if record.status == STATUS_OK:
+        return EventKind.CELL_FINISHED
+    if record.status == STATUS_TIMEOUT:
+        return EventKind.CELL_TIMED_OUT
+    return EventKind.CELL_FAILED
+
+
 # -- content-addressed cell cache ----------------------------------------
 
 
-#: Fingerprint memo keyed by object identity; a live entry retains the
-#: benchmark reference, pinning the id so it cannot be reused by a new
-#: object while the entry exists.  Registry benchmarks come from the
-#: lru-cached suite registry and stay resident, but long-lived sessions
-#: fingerprinting ad-hoc :class:`Benchmark` objects would otherwise
-#: grow the memo without limit — it is therefore an LRU bounded at
-#: :data:`_BENCH_FINGERPRINTS_MAX` entries (identity checks on lookup
-#: guard the evict-then-reuse corner).
-_BENCH_FINGERPRINTS: "OrderedDict[int, tuple[Benchmark, str]]" = OrderedDict()
-
-#: Comfortably above the study's 108 benchmarks plus ad-hoc churn.
-_BENCH_FINGERPRINTS_MAX = 1024
+#: Benchmark fingerprints by object identity.  Registry benchmarks come
+#: from the lru-cached suite registry and stay resident; the bound
+#: (comfortably above the study's 108 benchmarks) keeps long-lived
+#: sessions that fingerprint ad-hoc :class:`Benchmark` objects from
+#: growing the memo without limit.
+_BENCH_FINGERPRINTS: "IdentityMemo[str]" = IdentityMemo(1024)
 
 
 def _canonical(obj: object) -> object:
@@ -259,16 +261,11 @@ def benchmark_fingerprint(bench: Benchmark) -> str:
     serialization of the dataclass tree that is identical across
     processes and hash seeds.
     """
-    memo = _BENCH_FINGERPRINTS.get(id(bench))
-    if memo is not None and memo[0] is bench:
-        _BENCH_FINGERPRINTS.move_to_end(id(bench))
-        return memo[1]
-    canon = json.dumps(_canonical(bench), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode()).hexdigest()
-    _BENCH_FINGERPRINTS[id(bench)] = (bench, digest)
-    _BENCH_FINGERPRINTS.move_to_end(id(bench))
-    while len(_BENCH_FINGERPRINTS) > _BENCH_FINGERPRINTS_MAX:
-        _BENCH_FINGERPRINTS.popitem(last=False)
+    digest = _BENCH_FINGERPRINTS.get(bench)
+    if digest is None:
+        canon = json.dumps(_canonical(bench), sort_keys=True, separators=(",", ":"))
+        digest = _BENCH_FINGERPRINTS.put(
+            bench, value=hashlib.sha256(canon.encode()).hexdigest())
     return digest
 
 
@@ -306,65 +303,26 @@ def cell_cache_key(
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> bool:
-    """:func:`~repro.atomicio.atomic_write`, returning ``False`` (after
-    logging) when the write failed, so callers can count the miss
-    instead of mistaking it for success."""
-    try:
-        atomic_write(path, text)
-    except OSError as exc:
-        _LOG.warning("atomic write to %s failed: %s", path, exc)
-        return False
-    return True
+def _decode_cell(data: bytes) -> RunRecord:
+    return record_from_dict(json.loads(data)["record"])
 
 
 class CellCache:
-    """On-disk store of finished cell records, keyed by content hash.
-
-    Lookups record ``cell_cache.hit`` / ``cell_cache.miss`` metrics on
-    the active telemetry; a corrupt or truncated entry (e.g. from a
-    machine crash mid-``os.replace``, or disk rot) is treated as a miss:
-    it is deleted, logged, and counted as ``cell_cache.corrupt`` — never
-    raised to the campaign.
-    """
+    """Finished cell records, keyed by :func:`cell_cache_key`: a JSON
+    codec over a :class:`~repro.caching.ContentStore` (``cell_cache.*``
+    counters; corrupt entries are dropped, failed writes counted)."""
 
     def __init__(self, root: "str | Path") -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        self.store = ContentStore(root, "cell_cache", ".json")
+        self.root = self.store.root
 
     def get(self, key: str) -> RunRecord | None:
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            telemetry.count("cell_cache.miss")
-            return None
-        try:
-            doc = json.loads(text)
-            record = record_from_dict(doc["record"])
-        except (ValueError, KeyError, TypeError, HarnessError):
-            telemetry.count("cell_cache.miss")
-            telemetry.count("cell_cache.corrupt")
-            _LOG.warning("corrupt cell-cache entry %s; dropping it", path.name)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        telemetry.count("cell_cache.hit")
-        return record
+        return self.store.get(key, _decode_cell)
 
     def put(self, key: str, record: RunRecord) -> None:
-        doc = {"key": key, "record": record_to_dict(record)}
-        if _atomic_write_text(self._path(key), json.dumps(doc)):
-            telemetry.count("cell_cache.put")
-        else:
-            # The record is still in memory and in the journal; only the
-            # warm-cache shortcut for later runs is lost.
-            telemetry.count("cell_cache.write_error")
+        # A failed write loses only the warm-cache shortcut: the record
+        # is still in memory and in the journal.
+        self.store.put(key, json.dumps({"key": key, "record": record_to_dict(record)}))
 
 
 # -- journal -------------------------------------------------------------
@@ -647,6 +605,17 @@ class CampaignEngine:
             return tasks
         wanted = set(shard_cells([t.name for t in tasks], *self.shard))
         return tuple(t for t in tasks if t.name in wanted)
+
+    def cell_keys(self, tasks: Iterable[CellTask]) -> dict[int, str]:
+        """The cell-cache key of each task, by ``CellTask.index``."""
+        resilience = self._resilience_key()
+        return {
+            t.index: cell_cache_key(
+                t.benchmark, t.variant, self.machine, self.flags,
+                self.runs, self.lint_policy, resilience,
+            )
+            for t in tasks
+        }
 
     def campaign_fingerprint(self) -> str:
         """Identity of this campaign for journal compatibility checks."""
@@ -942,16 +911,7 @@ class CampaignEngine:
 
         cell_cache = CellCache(self.cache_dir / "cells") if self.cache_dir else None
         kernel_dir = self.cache_dir / "kernels" if self.cache_dir else None
-        cell_keys: dict[int, str] = {}
-        if cell_cache is not None:
-            resilience = self._resilience_key()
-            cell_keys = {
-                t.index: cell_cache_key(
-                    t.benchmark, t.variant, self.machine, self.flags,
-                    self.runs, self.lint_policy, resilience,
-                )
-                for t in tasks
-            }
+        cell_keys = self.cell_keys(tasks) if cell_cache is not None else {}
         pending: list[CellTask] = []
         for task in tasks:
             if task.name in done:
@@ -1006,15 +966,11 @@ class CampaignEngine:
                 cell_cache.put(cell_keys[task.index], record)
             if journal is not None:
                 journal.append(record)
-            if record.status == STATUS_OK:
-                send(EventKind.CELL_FINISHED, task, record=record)
-            elif record.status == STATUS_TIMEOUT:
+            kind = completion_kind(record)
+            if kind is EventKind.CELL_TIMED_OUT:
                 stats["timeouts"] += 1
-                send(EventKind.CELL_TIMED_OUT, task, record=record,
-                     message=record.status)
-            else:
-                send(EventKind.CELL_FAILED, task, record=record,
-                     message=record.status)
+            send(kind, task, record=record,
+                 message="" if kind is EventKind.CELL_FINISHED else record.status)
 
         try:
             if self.workers == 1 or len(pending) <= 1:

@@ -393,9 +393,8 @@ def diagnose(
 
     # -- persistence write errors ----------------------------------------
     counters = (metrics or {}).get("counters", {})
-    for name in ("cell_cache.write_error", "kernel_cache.write_error",
-                 "history.write_error", "log.write_error"):
-        count = counters.get(name, 0)
+    for name in sorted(n for n in counters if n.endswith(".write_error")):
+        count = counters[name]
         if count:
             findings.append(DoctorFinding(
                 severity="warning",

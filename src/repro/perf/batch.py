@@ -36,11 +36,11 @@ In front of the evaluator sits the redesigned grid API —
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.caching import IdentityMemo
 from repro.compilers.base import CodegenNestInfo, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
@@ -287,11 +287,8 @@ class NestFeatures:
         return report
 
 
-#: Identity-pinned LRU of feature matrices: (id(info), machine key) ->
-#: (info, features).  The pinned info reference keeps the id stable for
-#: the memo's lifetime.
-_FEATURES: "OrderedDict[tuple[int, str], tuple[CodegenNestInfo, NestFeatures]]" = OrderedDict()
-_FEATURES_MAX = 4096
+#: Feature matrices by compiled-nest identity and machine key.
+_FEATURES: "IdentityMemo[NestFeatures]" = IdentityMemo(4096)
 
 
 def nest_features(
@@ -300,15 +297,10 @@ def nest_features(
     machine_key: "str | None" = None,
 ) -> NestFeatures:
     """The (memoized) feature matrix for one compiled nest on one machine."""
-    key = (id(info), machine_key if machine_key is not None else machine_memo_key(machine))
-    memo = _FEATURES.get(key)
-    if memo is not None and memo[0] is info:
-        _FEATURES.move_to_end(key)
-        return memo[1]
-    features = NestFeatures(info, machine)
-    _FEATURES[key] = (info, features)
-    if len(_FEATURES) > _FEATURES_MAX:
-        _FEATURES.popitem(last=False)
+    key = machine_key if machine_key is not None else machine_memo_key(machine)
+    features = _FEATURES.get(info, key)
+    if features is None:
+        features = _FEATURES.put(info, key, value=NestFeatures(info, machine))
     return features
 
 

@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import pickle
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.atomicio import atomic_write
+from repro.caching import ContentStore, IdentityMemo
 from repro.compilers.base import CompiledKernel, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import compile_kernel
 from repro.errors import HarnessError
 from repro.faults.taxonomy import SITE_KERNEL_CACHE
-
-_LOG = logging.getLogger(__name__)
 from repro.libs.mathlib import library_time_s
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
@@ -95,24 +91,19 @@ def machine_fingerprint(machine: Machine) -> str:
     return hashlib.sha256(repr(machine).encode()).hexdigest()
 
 
-#: Identity-pinned LRU of machine content keys.  Machine factories
-#: (a64fx() & co.) build a fresh frozen instance per call, so bare
-#: id() keys would miss across sessions while re-hashing the repr on
-#: every lookup would cost more than the model evaluation it guards.
-_MACHINE_KEYS: "OrderedDict[int, tuple[Machine, str]]" = OrderedDict()
-_MACHINE_KEYS_MAX = 64
+#: Machine content keys by identity.  Machine factories (a64fx() & co.)
+#: build a fresh frozen instance per call, so bare id() keys would miss
+#: across sessions while re-hashing the repr on every lookup would cost
+#: more than the model evaluation it guards.
+_MACHINE_KEYS: "IdentityMemo[str]" = IdentityMemo(64)
 
 
 def machine_memo_key(machine: Machine) -> str:
     """Content key for a machine instance, memoized by identity."""
-    memo = _MACHINE_KEYS.get(id(machine))
-    if memo is not None and memo[0] is machine:
-        _MACHINE_KEYS.move_to_end(id(machine))
-        return memo[1]
-    key = f"{machine.name}:{machine_fingerprint(machine)}"
-    _MACHINE_KEYS[id(machine)] = (machine, key)
-    if len(_MACHINE_KEYS) > _MACHINE_KEYS_MAX:
-        _MACHINE_KEYS.popitem(last=False)
+    key = _MACHINE_KEYS.get(machine)
+    if key is None:
+        key = _MACHINE_KEYS.put(
+            machine, value=f"{machine.name}:{machine_fingerprint(machine)}")
     return key
 
 
@@ -120,10 +111,8 @@ def machine_memo_key(machine: Machine) -> str:
 #: so equal inputs always produce an equal CompiledKernel; memoizing at
 #: the compile_kernel() call site means per-cache counters
 #: (compile_count, disk_hits, fault_misses) keep their semantics — only
-#: the redundant compilation *work* is skipped.  Keys pin the kernel
-#: object so ids cannot be recycled while an entry lives.
-_COMPILE_MEMO: "OrderedDict[tuple, tuple[object, CompiledKernel]]" = OrderedDict()
-_COMPILE_MEMO_MAX = 2048
+#: the redundant compilation *work* is skipped.
+_COMPILE_MEMO: "IdentityMemo[CompiledKernel]" = IdentityMemo(2048)
 
 
 def _memoized_compile(
@@ -138,15 +127,13 @@ def _memoized_compile(
     # fidelity wins over speed whenever telemetry is active.
     if telemetry.current() is not None:
         return compile_kernel(variant, kernel, machine, flags)  # type: ignore[arg-type]
-    key = (variant, id(kernel), machine_memo_key(machine), flags)
-    memo = _COMPILE_MEMO.get(key)
-    if memo is not None and memo[0] is kernel:
-        _COMPILE_MEMO.move_to_end(key)
-        return memo[1]
-    compiled = compile_kernel(variant, kernel, machine, flags)  # type: ignore[arg-type]
-    _COMPILE_MEMO[key] = (kernel, compiled)
-    if len(_COMPILE_MEMO) > _COMPILE_MEMO_MAX:
-        _COMPILE_MEMO.popitem(last=False)
+    parts = (variant, machine_memo_key(machine), flags)
+    compiled = _COMPILE_MEMO.get(kernel, *parts)
+    if compiled is None:
+        compiled = _COMPILE_MEMO.put(
+            kernel, *parts,
+            value=compile_kernel(variant, kernel, machine, flags),  # type: ignore[arg-type]
+        )
     return compiled
 
 
@@ -177,10 +164,11 @@ class CompilationCache:
     dozens of placements; this cache keeps the exploration phase fast.
 
     With ``persist_dir`` set, compiled kernels are additionally stored
-    on disk under their :func:`compilation_cache_key`, so later runs
-    (and sibling worker processes) skip recompilation of unchanged
-    kernels.  Writes are atomic (temp file + rename); unreadable or
-    stale entries are recompiled and rewritten.
+    on disk under their :func:`compilation_cache_key` — a pickle codec
+    over a :class:`~repro.caching.ContentStore` (``kernel_cache.*``
+    counters) — so later runs (and sibling worker processes) skip
+    recompilation of unchanged kernels.  A corrupt entry is dropped,
+    recompiled and rewritten.
 
     With an ``injector`` attached (chaos runs), a
     :class:`~repro.faults.plan.FaultRule` aimed at the ``kernel-cache``
@@ -194,15 +182,13 @@ class CompilationCache:
         persist_dir: "str | Path | None" = None,
         injector: "object | None" = None,
     ) -> None:
-        #: Both tables are keyed on id(kernel) and pin the kernel, so an
-        #: id cannot be recycled by another kernel while an entry lives.
-        self._cache: dict[tuple, tuple[object, CompiledKernel]] = {}
-        #: Stable fingerprint memo (fingerprinting walks the whole IR;
-        #: do it once per kernel object).
-        self._stable_keys: dict[tuple, tuple[object, str]] = {}
-        self.persist_dir = Path(persist_dir) if persist_dir is not None else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
+        #: In-memory tier; the bound is far above the full grid's 665
+        #: (kernel, variant) pairs.
+        self._cache: "IdentityMemo[CompiledKernel]" = IdentityMemo(2048)
+        self.store = (
+            ContentStore(persist_dir, "kernel_cache", ".pkl")
+            if persist_dir is not None else None
+        )
         #: A :class:`~repro.faults.plan.FaultInjector` (or ``None``)
         #: consulted at the ``kernel-cache`` site before disk reads.
         self.injector = injector
@@ -211,10 +197,6 @@ class CompilationCache:
         self.disk_hits = 0
         self.fault_misses = 0
 
-    def _disk_path(self, stable_key: str) -> Path:
-        assert self.persist_dir is not None
-        return self.persist_dir / f"{stable_key}.pkl"
-
     def get(
         self,
         variant: str,
@@ -222,21 +204,15 @@ class CompilationCache:
         machine: Machine,
         flags: CompilerFlags | None,
     ) -> CompiledKernel:
-        key = (variant, id(kernel), machine.name, flags)
-        hit = self._cache.get(key)
-        if hit is not None and hit[0] is kernel:
+        parts = (variant, machine.name, flags)
+        compiled = self._cache.get(kernel, *parts)
+        if compiled is not None:
             self.memory_hits += 1
             telemetry.count("kernel_cache.memory_hit")
-            return hit[1]
+            return compiled
         stable = None
-        if self.persist_dir is not None:
-            memo = self._stable_keys.get(key)
-            if memo is not None and memo[0] is kernel:
-                stable = memo[1]
-            else:
-                stable = compilation_cache_key(variant, kernel, machine, flags)
-                self._stable_keys[key] = (kernel, stable)
-            path = self._disk_path(stable)
+        if self.store is not None:
+            stable = compilation_cache_key(variant, kernel, machine, flags)
             if self._kernel_cache_fault(variant, kernel):
                 # Injected kernel-cache loss (simulated scratch-file
                 # rot): skip the disk entry and recompile below.  The
@@ -247,22 +223,16 @@ class CompilationCache:
                 telemetry.count("faults.injected")
                 telemetry.count(f"faults.site.{SITE_KERNEL_CACHE}")
             else:
-                try:
-                    with open(path, "rb") as fh:
-                        compiled = pickle.load(fh)
+                compiled = self.store.get(stable, pickle.loads)
+                if compiled is not None:
                     self.disk_hits += 1
-                    telemetry.count("kernel_cache.disk_hit")
-                    self._cache[key] = (kernel, compiled)
-                    return compiled
-                except (OSError, pickle.PickleError, EOFError, AttributeError):
-                    pass  # missing or unreadable entry: recompile below
+                    return self._cache.put(kernel, *parts, value=compiled)
         compiled = _memoized_compile(variant, kernel, machine, flags)
         self.compile_count += 1
         telemetry.count("kernel_cache.compile")
-        self._cache[key] = (kernel, compiled)
         if stable is not None:
-            self._persist(stable, compiled)
-        return compiled
+            self.store.put(stable, pickle.dumps(compiled))
+        return self._cache.put(kernel, *parts, value=compiled)
 
     def _kernel_cache_fault(self, variant: str, kernel: object) -> bool:
         """Did the plan inject a kernel-cache fault for this lookup?"""
@@ -273,15 +243,6 @@ class CompilationCache:
             self.injector.decide(SITE_KERNEL_CACHE, name, variant, 0)
             is not None
         )
-
-    def _persist(self, stable_key: str, compiled: CompiledKernel) -> None:
-        path = self._disk_path(stable_key)
-        try:
-            atomic_write(path, pickle.dumps(compiled))
-        except OSError as exc:
-            # A failed persist only costs a recompile next session.
-            _LOG.warning("kernel-cache write to %s failed: %s", path, exc)
-            telemetry.count("kernel_cache.write_error")
 
 
 def _rank_geometry(bench: Benchmark, machine: Machine, placement: Placement) -> tuple[int, int, float]:

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.compilers.registry import get_compiler
+from repro.compilers.registry import STUDY_VARIANTS, get_compiler
 from repro.errors import ReproError
 from repro.harness.engine import (
     CampaignEngine,
@@ -62,7 +62,7 @@ from repro.harness.engine import (
     CellChunk,
     CellTask,
     EventKind,
-    cell_cache_key,
+    completion_kind,
     _run_chunk,
 )
 from repro.harness.journalstore import (
@@ -70,13 +70,7 @@ from repro.harness.journalstore import (
     DirectoryJournalStore,
     open_journal,
 )
-from repro.harness.results import (
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    CampaignResult,
-    RunRecord,
-)
-from repro.faults.plan import RetryPolicy
+from repro.harness.results import STATUS_OK, CampaignResult, RunRecord
 from repro.machine.select import resolve_machine
 from repro.service.config import CampaignSpec, ServiceError, spec_to_dict
 from repro.service.registry import (
@@ -179,11 +173,7 @@ def _resolve_shape(spec: CampaignSpec) -> CampaignEngine:
             benchmarks = tuple(get_benchmark(name) for name in spec.benchmarks)
         elif spec.suites is not None:
             suites = tuple(get_suite(name) for name in spec.suites)
-        variants = spec.variants
-        if variants is None:
-            return CampaignEngine(
-                machine, suites=suites, benchmarks=benchmarks, runs=spec.runs
-            )
+        variants = spec.variants if spec.variants is not None else STUDY_VARIANTS
         return CampaignEngine(
             machine, variants=variants, suites=suites, benchmarks=benchmarks,
             runs=spec.runs,
@@ -195,14 +185,7 @@ def _resolve_shape(spec: CampaignSpec) -> CampaignEngine:
 class CampaignScheduler:
     """Shared, deduplicating cell scheduler over the engine's caches."""
 
-    def __init__(
-        self,
-        cache_dir: "str | Path",
-        *,
-        workers: int = 2,
-        max_retries: int = 1,
-        retry_backoff_s: float = 0.05,
-    ) -> None:
+    def __init__(self, cache_dir: "str | Path", *, workers: int = 2) -> None:
         if workers < 0:
             raise ServiceError(f"workers must be >= 0, got {workers}")
         self.cache_dir = Path(cache_dir)
@@ -213,9 +196,6 @@ class CampaignScheduler:
         #: 0 = run batches on threads in-process (tests, tiny hosts);
         #: N >= 1 = a lazily-created pool of N worker processes.
         self.workers = workers
-        self.retry_policy = RetryPolicy(
-            max_retries=max_retries, backoff_s=retry_backoff_s, seed=0
-        )
         self.campaigns: dict[str, ServiceCampaign] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._pool = None
@@ -249,19 +229,13 @@ class CampaignScheduler:
         if campaign_id is None:
             self._seq += 1
             campaign_id = f"c{self._seq:04d}-{fingerprint[:8]}"
-        keys = {
-            t.index: cell_cache_key(
-                t.benchmark, t.variant, engine.machine, None, spec.runs
-            )
-            for t in cells
-        }
         campaign = ServiceCampaign(
             id=campaign_id,
             spec=spec,
             machine=engine.machine,
             cells=cells,
             fingerprint=fingerprint,
-            keys=keys,
+            keys=engine.cell_keys(cells),
             dir=self.service_dir / campaign_id,
             resume=resume,
         )
@@ -444,14 +418,10 @@ class CampaignScheduler:
             if how == "deduped":
                 self._emit_cell(c, EventKind.CACHE_HIT.value, task, record,
                                 from_cache=True, message="deduped in-flight")
-            elif record.status == STATUS_OK:
-                self._emit_cell(c, EventKind.CELL_FINISHED.value, task, record)
-            elif record.status == STATUS_TIMEOUT:
-                self._emit_cell(c, EventKind.CELL_TIMED_OUT.value, task,
-                                record, message=record.status)
             else:
-                self._emit_cell(c, EventKind.CELL_FAILED.value, task, record,
-                                message=record.status)
+                kind = completion_kind(record)
+                self._emit_cell(c, kind.value, task, record, message=(
+                    "" if kind is EventKind.CELL_FINISHED else record.status))
 
     async def _wait_cell(self, c: ServiceCampaign, task: CellTask, key: str):
         """Fan in on another campaign's in-flight cell; re-claim it if
@@ -519,7 +489,6 @@ class CampaignScheduler:
             tasks=tuple(task for task, _key, _fut in batch),
             runs=c.spec.runs,
             kernel_dir=str(self.kernel_dir),
-            retry=self.retry_policy,
             log_ctx=log_ctx,
         )
         claims = {task.index: (key, fut) for task, key, fut in batch}

@@ -16,8 +16,10 @@ benchmark (one per campaign cell) pay for one analysis.
 Two caches sit above the context memos:
 
 * the per-process identity memos (:func:`analyze_kernel_cached`,
-  :func:`analyze_benchmark_cached`), which collapse the five variants
-  x N thread counts of a campaign to one analysis per kernel object;
+  :func:`analyze_benchmark_cached`, bounded
+  :class:`~repro.caching.IdentityMemo` s), which collapse the five
+  variants x N thread counts of a campaign to one analysis per kernel
+  object;
 * the optional persistent :class:`AnalysisCache`, keyed by kernel and
   machine *content* fingerprints, which survives process boundaries —
   the engine keeps one beside its kernel cache (``<cache-dir>/
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.caching import ContentStore, IdentityMemo
 from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
@@ -173,18 +176,26 @@ def analyze_benchmark(
 # -- persistent cross-process cache ----------------------------------------
 
 
+def _decode_diagnostics(data: bytes) -> tuple[Diagnostic, ...]:
+    doc = json.loads(data)
+    return tuple(Diagnostic.from_dict(d) for d in doc["diagnostics"])
+
+
 class AnalysisCache:
     """Persistent per-kernel diagnostics, keyed by content fingerprints.
 
-    Lives beside the engine's kernel cache (``<cache-dir>/analysis``).
-    Keys combine the kernel IR fingerprint, the machine fingerprint,
-    and :data:`ANALYSIS_SCHEMA_VERSION`, so editing a kernel, switching
-    machine models, or upgrading the rule set all miss cleanly.
-    Corrupt or unreadable entries count as misses and are overwritten.
+    Lives beside the engine's kernel cache (``<cache-dir>/analysis``):
+    a JSON codec over a :class:`~repro.caching.ContentStore`
+    (``analysis_cache.*`` counters).  Keys combine the kernel IR
+    fingerprint, the machine fingerprint, and
+    :data:`ANALYSIS_SCHEMA_VERSION`, so editing a kernel, switching
+    machine models, or upgrading the rule set all miss cleanly.  A
+    corrupt entry is a miss: it is dropped and rewritten by the next
+    :meth:`put`.
     """
 
     def __init__(self, root: "Path | str") -> None:
-        self.root = Path(root)
+        self.store = ContentStore(root, "analysis_cache", ".json")
         self.hits = 0
         self.misses = 0
 
@@ -199,26 +210,12 @@ class AnalysisCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def get(self, kernel: Kernel, machine: Machine) -> "tuple[Diagnostic, ...] | None":
-        path = self._path(self.key(kernel, machine))
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            diags = tuple(Diagnostic.from_dict(d) for d in doc["diagnostics"])
-        except FileNotFoundError:
+        diags = self.store.get(self.key(kernel, machine), _decode_diagnostics)
+        if diags is None:
             self.misses += 1
-            telemetry.count("analysis_cache.miss")
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt entry: treat as a miss; put() will rewrite it.
-            self.misses += 1
-            telemetry.count("analysis_cache.miss")
-            telemetry.count("analysis_cache.corrupt")
-            return None
-        self.hits += 1
-        telemetry.count("analysis_cache.hit")
+        else:
+            self.hits += 1
         return diags
 
     def put(
@@ -229,26 +226,18 @@ class AnalysisCache:
             "kernel": kernel.name,
             "diagnostics": [d.to_dict() for d in diags],
         }
-        path = self._path(self.key(kernel, machine))
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-            tmp.replace(path)
-        except OSError:
-            telemetry.count("analysis_cache.write_error")
+        self.store.put(self.key(kernel, machine), json.dumps(doc, sort_keys=True))
 
 
-# -- per-benchmark memo for the campaign engine ----------------------------
+# -- per-process identity memos ---------------------------------------------
 #
-# A campaign analyzes the same benchmark once per cell (dozens of
-# variants x thread counts); the findings depend only on the kernel IR
-# and the machine, so memoize by identity the way the engine memoizes
-# benchmark fingerprints.  Keyed on (id(benchmark), machine name); the
-# benchmark object is kept in the value to pin it against id() reuse.
+# Findings depend only on the kernel IR and the machine, so memoize by
+# (object, machine name).  The bounds sit far above the registry's 133
+# kernels and 108 benchmarks per machine; they bite only in a
+# long-lived pool worker, which unpickles fresh kernels for every chunk.
 
-_BENCH_DIAGNOSTICS: dict = {}
-_KERNEL_DIAGNOSTICS: dict = {}
+_BENCH_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(1024)
+_KERNEL_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(4096)
 
 
 def _reemit(kernel_names: "tuple[str, ...]", diags: tuple) -> None:
@@ -274,12 +263,10 @@ def _kernel_diags(
     ctx: "AnalysisContext | None",
 ) -> tuple[Diagnostic, ...]:
     """Kernel findings through memo -> persistent cache -> analysis."""
-    key = (id(kernel), machine.name)
-    hit = _KERNEL_DIAGNOSTICS.get(key)
-    if hit is not None and hit[0] is kernel:
-        _reemit((kernel.name,), hit[1])
-        return hit[1]
-    diags = None
+    diags = _KERNEL_DIAGNOSTICS.get(kernel, machine.name)
+    if diags is not None:
+        _reemit((kernel.name,), diags)
+        return diags
     if cache is not None:
         diags = cache.get(kernel, machine)
         if diags is not None:
@@ -289,8 +276,7 @@ def _kernel_diags(
         diags = analyze_kernel(kernel, ctx=ctx, machine=machine if ctx is None else None)
         if cache is not None:
             cache.put(kernel, machine, diags)
-    _KERNEL_DIAGNOSTICS[key] = (kernel, diags)
-    return diags
+    return _KERNEL_DIAGNOSTICS.put(kernel, machine.name, value=diags)
 
 
 def analyze_kernel_cached(
@@ -317,18 +303,16 @@ def analyze_benchmark_cached(
     diagnostic identity — benchmarks whose units share a kernel object
     report each finding once even on warm caches.
     """
-    key = (id(benchmark), machine.name)
-    hit = _BENCH_DIAGNOSTICS.get(key)
-    if hit is not None and hit[0] is benchmark:
-        _reemit(tuple(k.name for k in benchmark.kernels()), hit[1])
-        return hit[1]
+    hit = _BENCH_DIAGNOSTICS.get(benchmark, machine.name)
+    if hit is not None:
+        _reemit(tuple(k.name for k in benchmark.kernels()), hit)
+        return hit
     ctx = AnalysisContext(machine=machine)
     out: list[Diagnostic] = []
     for kernel in benchmark.kernels():
         out.extend(_kernel_diags(kernel, machine, cache, ctx))
-    diags = dedupe_diagnostics(out)
-    _BENCH_DIAGNOSTICS[key] = (benchmark, diags)
-    return diags
+    return _BENCH_DIAGNOSTICS.put(
+        benchmark, machine.name, value=dedupe_diagnostics(out))
 
 
 def worst_severity(diags: tuple[Diagnostic, ...]):

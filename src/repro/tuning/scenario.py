@@ -5,7 +5,7 @@ a batched, noise-free evaluation: given many configs, return one
 :class:`Evaluation` (model time, validity, detail) per config, in
 order.  The tuner layers deterministic trial noise, journaling and
 caching on top — scenarios themselves stay pure model arithmetic, so
-they are safe to re-evaluate in worker processes and on resume.
+they are safe to re-evaluate on resume.
 
 :class:`PlacementScenario` is the bridge to the measurement harness: a
 one-axis (or placement × variant) space over a benchmark's exploration
@@ -14,8 +14,8 @@ candidates, evaluated through the batched
 fast path the campaign engine and ``explore()`` use.
 
 Scenarios are addressable by a spec string (``"gemm-int8-sdot"``,
-``"placement:<suite.name>:<variant>"``) so worker processes and the CLI
-can reconstruct them without pickling model objects.
+``"placement:<suite.name>:<variant>"``), which is how the CLI and
+:class:`~repro.tuning.tuner.TuneSpec` name them.
 """
 
 from __future__ import annotations

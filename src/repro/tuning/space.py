@@ -71,10 +71,7 @@ class Parameter:
 
     def index_of(self, value: object) -> int:
         """Position of ``value`` among the choices (by canonical render)."""
-        return self.index_of_rendered(render_value(value))
-
-    def index_of_rendered(self, rendered: str) -> int:
-        """Position of the choice whose canonical render is ``rendered``."""
+        rendered = render_value(value)
         for i, choice in enumerate(self.choices):
             if render_value(choice) == rendered:
                 return i
@@ -105,11 +102,6 @@ class Config:
     def label(self) -> str:
         """Human- and journal-facing identity, e.g. ``mr=6,nr=4``."""
         return ",".join(f"{k}={render_value(v)}" for k, v in self.items)
-
-    @property
-    def digest(self) -> str:
-        """Short content hash of the label (content-addressed caching)."""
-        return hashlib.sha256(self.label.encode()).hexdigest()[:16]
 
     def values(self) -> dict[str, object]:
         return dict(self.items)
@@ -184,24 +176,6 @@ class SearchSpace:
             ).hexdigest(),
         )
         return tuple(ranked[:n])
-
-    def config_from_label(self, label: str) -> Config:
-        """Inverse of :attr:`Config.label` (worker-side reconstruction)."""
-        values: dict[str, object] = {}
-        parts = label.split(",") if label else []
-        if len(parts) != len(self.params):
-            raise HarnessError(
-                f"label {label!r} has {len(parts)} field(s); space has "
-                f"{len(self.params)} parameter(s)"
-            )
-        for p, part in zip(self.params, parts):
-            key, sep, rendered = part.partition("=")
-            if not sep or key != p.name:
-                raise HarnessError(
-                    f"label field {part!r} does not match parameter {p.name!r}"
-                )
-            values[p.name] = p.choices[p.index_of_rendered(rendered)]
-        return self.config(**values)
 
     @property
     def fingerprint(self) -> str:

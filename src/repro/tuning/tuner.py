@@ -210,53 +210,6 @@ class TuneResult:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TuneResult":
-        best = doc.get("best", {})
-        return cls(
-            scenario=str(doc.get("scenario", "")),
-            strategy=str(doc.get("strategy", "")),
-            machine=str(doc.get("machine", "")),
-            best_label=str(best.get("label", "")),
-            best_score=float(best.get("score", float("inf"))),
-            best_time_s=float(best.get("time_s", float("inf"))),
-            best_detail=dict(best.get("detail", {})),
-            evaluations=int(doc.get("evaluations", 0)),
-            from_journal=int(doc.get("from_journal", 0)),
-            from_cache=int(doc.get("from_cache", 0)),
-            complete=bool(doc.get("complete", True)),
-            known_best_label=doc.get("known_best_label"),
-            journal=doc.get("journal"),
-            rungs=tuple(
-                RungSummary(
-                    rung=int(r["rung"]),
-                    trials=int(r["trials"]),
-                    configs=int(r["configs"]),
-                    evaluated=int(r["evaluated"]),
-                    from_journal=int(r.get("from_journal", 0)),
-                    from_cache=int(r.get("from_cache", 0)),
-                    best_label=str(r["best_label"]),
-                    best_score=float(r["best_score"]),
-                )
-                for r in doc.get("rungs", ())
-            ),
-            trajectory=tuple(
-                TrajectoryPoint(
-                    order=int(p["order"]),
-                    rung=int(p["rung"]),
-                    label=str(p["label"]),
-                    trials=int(p["trials"]),
-                    score=float(p["score"]),
-                    best_so_far=float(p["best_so_far"]),
-                )
-                for p in doc.get("trajectory", ())
-            ),
-            meta=dict(doc.get("meta", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TuneResult":
-        return cls.from_dict(json.loads(text))
 
 
 # -- record plumbing ------------------------------------------------------
@@ -311,7 +264,7 @@ def _record_score(record: RunRecord) -> float:
 
 
 def _search_fingerprint(
-    scenario: Scenario, strategy: Strategy, machine: Machine, spec: TuneSpec
+    scenario: Scenario, strategy: Strategy, machine: Machine
 ) -> str:
     """Journal identity: everything that affects the record *sequence*."""
     parts = (
@@ -393,7 +346,7 @@ def run_tune(
         min_trials=spec.min_trials,
     )
     space = scenario.space(machine)
-    search_fp = _search_fingerprint(scenario, strategy, machine, spec)
+    search_fp = _search_fingerprint(scenario, strategy, machine)
     eval_fp = _eval_fingerprint(scenario, machine)
     bench_name = _tune_benchmark_name(scenario)
 

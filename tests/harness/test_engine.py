@@ -133,6 +133,28 @@ class TestPersistentCompilationCache:
         assert c2.compile_count == 1
         assert compiled.ok
 
+    def test_corrupt_entry_deleted_and_counted(
+            self, a64fx_machine, tmp_path, monkeypatch):
+        CompilationCache(persist_dir=tmp_path).get(
+            "GNU", _gemm(), a64fx_machine, GNU_FLAGS)
+        (entry,) = tmp_path.glob("*.pkl")
+        entry.write_bytes(entry.read_bytes()[:40])  # a truncated pickle
+
+        def broken_write(path, data):
+            raise OSError(28, "No space left on device")
+
+        # With the rewrite failing too, the dropped entry stays gone.
+        monkeypatch.setattr("repro.caching.atomic_write", broken_write)
+        cache = CompilationCache(persist_dir=tmp_path)
+        tel = Telemetry()
+        with telemetry.active(tel):
+            assert cache.get("GNU", _gemm(), a64fx_machine, GNU_FLAGS).ok
+        assert not entry.exists()
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters.get("kernel_cache.corrupt") == 1
+        assert counters.get("kernel_cache.write_error") == 1
+        assert cache.compile_count == 1
+
 
 class TestEngineSerial:
     def test_invalid_workers(self):

@@ -13,12 +13,12 @@ from repro.errors import HarnessError
 from repro import telemetry
 from repro.faults import FaultPlan, FaultRule
 from repro.faults.taxonomy import FailureInfo, RetryStep
+from repro.caching import ContentStore
 from repro.harness.engine import (
     _BENCH_FINGERPRINTS,
     CampaignEngine,
     CellCache,
     EventKind,
-    _atomic_write_text,
     benchmark_fingerprint,
 )
 from repro.harness.journalstore import (
@@ -448,8 +448,8 @@ class TestAtomicWriteFailures:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, "replace", broken_replace)
-        with caplog.at_level("WARNING", logger="repro.harness.engine"):
-            ok = _atomic_write_text(tmp_path / "cell.json", "{}")
+        with caplog.at_level("WARNING", logger="repro.caching"):
+            ok = ContentStore(tmp_path, "cell_cache", ".json").put("cell", "{}")
         assert ok is False
         assert any("atomic write" in r.message for r in caplog.records)
         assert list(tmp_path.glob("*.tmp")) == []  # no leaked temp file
@@ -458,8 +458,11 @@ class TestAtomicWriteFailures:
     def test_cell_cache_put_counts_write_error(self, tmp_path, monkeypatch):
         cache = CellCache(tmp_path)
         record = _record("s.a", "GNU")
-        monkeypatch.setattr(
-            "repro.harness.engine._atomic_write_text", lambda *a: False)
+
+        def broken_write(path, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.caching.atomic_write", broken_write)
         tel = Telemetry()
         with telemetry.active(tel):
             cache.put("k1", record)
@@ -542,8 +545,7 @@ class TestRetryHistory:
 
 class TestBenchFingerprintMemoBound:
     def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.harness.engine._BENCH_FINGERPRINTS_MAX", 8)
+        monkeypatch.setattr(_BENCH_FINGERPRINTS, "maxsize", 8)
         base = micro_suite().benchmarks[0]
         _BENCH_FINGERPRINTS.clear()
         ad_hoc = [dataclasses.replace(base, name=f"tmp{i}") for i in range(50)]

@@ -200,6 +200,19 @@ class TestDiagnose:
         assert finding.severity == "warning"
         assert "history.write_error" in finding.title
 
+    def test_every_write_error_counter_surfaces(self):
+        metrics = {"counters": {
+            "analysis_cache.write_error": 1,
+            "service.registry.write_error": 3,
+            "cell_cache.put": 5,
+        }}
+        report = diagnose([], metrics=metrics)
+        titles = [f.title for f in report.by_category("write-error")]
+        assert titles == [
+            "analysis_cache.write_error: 1 failed write(s)",
+            "service.registry.write_error: 3 failed write(s)",
+        ]
+
     def test_cache_collapse_between_runs(self):
         runs = [
             ({"fingerprint": "fp"}, [_sample(cache_hit_rate=0.9)]),

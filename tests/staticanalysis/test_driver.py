@@ -1,6 +1,9 @@
 """Tests for the analysis driver: context memoization, caching,
 telemetry integration, and benchmark-level analysis."""
 
+import os
+import pickle
+
 from repro import telemetry
 from repro.ir import KernelBuilder, Language, read, write
 from repro.machine import a64fx, xeon
@@ -143,6 +146,50 @@ class TestAnalysisCache:
         cache = AnalysisCache(tmp_path / "analysis")
         cache.put(kernel, a64fx(), analyze_kernel(kernel, machine=a64fx()))
         assert cache.get(kernel, xeon()) is None
+
+    def test_corrupt_entry_is_deleted_and_counted(self, tmp_path):
+        kernel = racy_kernel()
+        machine = a64fx()
+        cache = AnalysisCache(tmp_path / "analysis")
+        cache.put(kernel, machine, analyze_kernel(kernel, machine=machine))
+        (entry,) = (tmp_path / "analysis").glob("*.json")
+        entry.write_text('{"diagnostics": [{"rule": "X001"}]}')
+        tel = Telemetry()
+        with telemetry.active(tel):
+            assert cache.get(kernel, machine) is None
+        assert not entry.exists()
+        assert tel.metrics.counter_value("analysis_cache.corrupt") == 1
+        assert cache.misses == 1
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def broken_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        kernel = racy_kernel()
+        machine = a64fx()
+        cache = AnalysisCache(tmp_path / "analysis")
+        monkeypatch.setattr(os, "replace", broken_replace)
+        tel = Telemetry()
+        with telemetry.active(tel):
+            cache.put(kernel, machine, analyze_kernel(kernel, machine=machine))
+        assert list((tmp_path / "analysis").iterdir()) == []
+        assert tel.metrics.counter_value("analysis_cache.write_error") == 1
+
+
+class TestKernelMemoBound:
+    def test_fresh_kernel_copies_stay_bounded(self, monkeypatch):
+        # A long-lived pool worker unpickles fresh kernels for every
+        # chunk; the memo must not keep all of them.
+        from repro.staticanalysis import driver as driver_mod
+
+        monkeypatch.setattr(driver_mod._KERNEL_DIAGNOSTICS, "maxsize", 8)
+        driver_mod._KERNEL_DIAGNOSTICS.clear()
+        payload = pickle.dumps(racy_kernel())
+        machine = a64fx()
+        first = analyze_kernel_cached(pickle.loads(payload), machine)
+        for _ in range(19):
+            assert analyze_kernel_cached(pickle.loads(payload), machine) == first
+        assert len(driver_mod._KERNEL_DIAGNOSTICS) <= 8
 
 
 class TestAnalyzeBenchmark:

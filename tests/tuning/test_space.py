@@ -53,7 +53,6 @@ class TestParameter:
     def test_index_of(self):
         p = Parameter("mr", (2, 4, 6))
         assert p.index_of(4) == 1
-        assert p.index_of_rendered("6") == 2
         with pytest.raises(HarnessError):
             p.index_of(5)
 
@@ -100,18 +99,6 @@ class TestSearchSpace:
         with pytest.raises(HarnessError):
             small_space().sample(0, seed=0)
 
-    def test_config_from_label_round_trip(self):
-        space = small_space()
-        for config in space.grid():
-            assert space.config_from_label(config.label) == config
-
-    def test_config_from_label_rejects_mismatches(self):
-        space = small_space()
-        with pytest.raises(HarnessError):
-            space.config_from_label("mr=2,nr=1")  # missing field
-        with pytest.raises(HarnessError):
-            space.config_from_label("nr=1,mr=2,fast=true")  # wrong order
-
     def test_fingerprint_tracks_choices(self):
         a = SearchSpace((Parameter("mr", (2, 4)),))
         b = SearchSpace((Parameter("mr", (2, 6)),))
@@ -119,11 +106,6 @@ class TestSearchSpace:
         assert a.fingerprint != b.fingerprint
         assert a.fingerprint != c.fingerprint
         assert a.fingerprint == SearchSpace((Parameter("mr", (2, 4)),)).fingerprint
-
-    def test_digest_is_stable_content_hash(self):
-        config = small_space().config(mr=2, nr=1, fast=True)
-        assert config.digest == small_space().config(mr=2, nr=1, fast=True).digest
-        assert len(config.digest) == 16
 
 
 class TestPlacementSpace:
@@ -149,9 +131,3 @@ class TestPlacementSpace:
         space = placement_space(bench=bench, machine=a64fx_machine)
         assert space.size == 1
         assert space.grid()[0]["placement"] == Placement(1, 1)
-
-    def test_label_round_trip_with_placements(self, a64fx_machine):
-        bench = get_benchmark("ecp.amg")
-        space = placement_space(bench=bench, machine=a64fx_machine)
-        for config in space.grid():
-            assert space.config_from_label(config.label) == config

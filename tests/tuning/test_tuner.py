@@ -13,7 +13,6 @@ from repro.tuning import (
     Scenario,
     SearchSpace,
     TuneInterrupted,
-    TuneResult,
     TuneSpec,
     run_tune,
 )
@@ -216,11 +215,6 @@ class TestTelemetry:
 
 
 class TestTuneResult:
-    def test_json_round_trip(self, tmp_path):
-        result = run_tune(quad_spec(cache_dir=tmp_path))
-        loaded = TuneResult.from_json(result.to_json())
-        assert loaded == result
-
     def test_rediscovered_none_without_known_best(self):
         class Anon(QuadScenario):
             name = "quad-anon"
