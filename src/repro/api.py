@@ -21,9 +21,8 @@ measurement campaigns, through three small types:
     The model-space companion (re-exported from
     :mod:`repro.perf.batch`): batch-evaluate the noise-free cost model
     over a (benchmark x variant x placement) grid without running a
-    measurement campaign.  Bit-identical to the scalar
-    :func:`repro.perf.cost.benchmark_model`, which remains the
-    reference oracle for differential testing.
+    measurement campaign.  It runs the one cost model, whose
+    one-placement form is :func:`repro.perf.cost.benchmark_model`.
 
 Quickstart (measurement campaign)::
 

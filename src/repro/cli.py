@@ -557,11 +557,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    """Compile and cost a user-authored kernel from a JSON file."""
-    from repro.compilers import STUDY_VARIANTS, compile_kernel
+    """Compile and cost a user-authored kernel from a JSON file.
+
+    The kernel is costed as a one-unit OpenMP benchmark on one rank of
+    ``--threads`` threads, through the campaign's cost model: OpenMP
+    fork/barrier cost, NUMA spill and the 2 µs floor included.
+    """
+    from repro.compilers import STUDY_VARIANTS
     from repro.ir import check_kernel, kernel_from_json
-    from repro.machine import a64fx
-    from repro.perf import nest_time, roofline_point
+    from repro.machine import Placement, a64fx
+    from repro.perf import CompilationCache, benchmark_model, roofline_point
+    from repro.suites.base import Benchmark, ParallelKind, WorkUnit
     from repro.units import pretty_seconds
 
     with open(args.path) as fh:
@@ -569,35 +575,36 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     check_kernel(kernel)
     machine = a64fx()
     threads = args.threads
+    if not 1 <= threads <= machine.total_cores:
+        print(f"--threads {threads} does not fit {machine.name} "
+              f"({machine.total_cores} cores)", file=sys.stderr)
+        return 2
+    placement = Placement(1, threads)
+    bench = Benchmark(
+        name=kernel.name,
+        suite="kernel",
+        language=kernel.language,
+        units=(WorkUnit(kernel=kernel),),
+        parallel=ParallelKind.OPENMP,
+    )
     print(f"kernel {kernel.name} [{kernel.language.value}], "
           f"{kernel.total_flops() / 1e9:.2f} GFLOP, "
           f"{kernel.data_footprint_bytes / 2**20:.1f} MiB footprint")
+    cache = CompilationCache()
     best = None
     for variant in STUDY_VARIANTS:
-        compiled = compile_kernel(variant, kernel, machine)
-        if not compiled.ok:
-            print(f"  {variant:12s} {compiled.status.value}")
+        model = benchmark_model(bench, variant, machine, placement, cache=cache)
+        if not model.valid:
+            print(f"  {variant:12s} {model.status.value}")
             continue
-        total = 0.0
-        for info in compiled.nest_infos:
-            t = nest_time(
-                info,
-                machine,
-                threads=threads if info.parallel else 1,
-                active_cores_per_domain=min(threads, machine.topology.cores_per_domain),
-                domains=max(1, -(-threads // machine.topology.cores_per_domain))
-                if info.parallel
-                else 1,
-            )
-            total += t.total_s
-        total *= compiled.anomaly_multiplier
-        if best is None or total < best[1]:
-            best = (variant, total)
-        point = roofline_point(compiled.nest_infos[0], machine, threads=threads)
+        if best is None or model.time_s < best[1]:
+            best = (variant, model.time_s)
+        info = cache.get(variant, kernel, machine, None).nest_infos[0]
+        point = roofline_point(info, machine, threads=threads)
         print(
-            f"  {variant:12s} {pretty_seconds(total):>10s}  "
+            f"  {variant:12s} {pretty_seconds(model.time_s):>10s}  "
             f"AI={point.arithmetic_intensity:7.3f} F/B  "
-            f"passes={','.join(compiled.nest_infos[0].applied_passes)}"
+            f"passes={','.join(info.applied_passes)}"
         )
     if best:
         print(f"recommendation: {best[0]} ({pretty_seconds(best[1])})")

@@ -126,9 +126,7 @@ def explore(
 
     The whole candidate sweep is costed in one call to
     :func:`repro.perf.batch.evaluate_placements` (kernels compile once,
-    features extract once, the per-placement arithmetic is batched);
-    the results are bit-identical to evaluating the scalar
-    :func:`repro.perf.cost.benchmark_model` per candidate.
+    features extract once, the per-placement arithmetic is batched).
     """
     cache = cache if cache is not None else CompilationCache()
     candidates = placement_candidates(bench, machine)
@@ -136,9 +134,9 @@ def explore(
         bench, variant, machine, candidates, flags=flags, cache=cache
     )
     if not models[0].valid:
-        # Build failures are placement-independent; the scalar loop
-        # bailed on its first candidate, so hand back the first model —
-        # and the first *candidate*, which is legal by construction.
+        # Build failures are placement-independent: hand back the
+        # first model — and the first *candidate*, which is legal by
+        # construction.
         return candidates[0], (), models[0]
 
     # The paper's best-of-three noisy trials per candidate; the first

@@ -75,8 +75,7 @@ class MemorySystem:
 
         ``line_bytes`` comes from the machine model's cache geometry
         (``machine.line_bytes`` — 256 B on A64FX), never a hard-coded
-        constant, so the batch and scalar model paths share one
-        geometry source.  ``latency`` overrides the idle latency when
+        constant.  ``latency`` overrides the idle latency when
         the caller has already folded in TLB-walk penalties.
         """
         if concurrency <= 0:

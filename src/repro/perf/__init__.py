@@ -1,5 +1,6 @@
-"""Performance models: traffic, ECM costing, scaling, noise, the
-top-level benchmark cost model, and its batched grid evaluator."""
+"""Performance models: traffic, ECM costing, scaling, noise, and the
+benchmark cost model — one implementation in :mod:`repro.perf.batch`,
+whose one-placement form is :func:`repro.perf.cost.benchmark_model`."""
 
 from repro.perf.batch import (
     GridCell,

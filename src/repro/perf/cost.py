@@ -1,10 +1,14 @@
-"""Top-level benchmark cost model.
+"""Top-level benchmark cost model: its result types, its compilation
+cache, and the one-placement entry point.
 
-Takes a :class:`~repro.suites.base.Benchmark`, a compiler variant, a
-machine, and a :class:`~repro.machine.topology.Placement`, and produces
-the *ideal* (noise-free) region-of-interest time plus a breakdown.  The
-harness (:mod:`repro.harness`) layers the measurement methodology —
-exploration sweeps, repeated runs, noise — on top.
+:func:`benchmark_model` takes a :class:`~repro.suites.base.Benchmark`,
+a compiler variant, a machine, and a
+:class:`~repro.machine.topology.Placement`, and produces the *ideal*
+(noise-free) region-of-interest time plus a breakdown.  It is a
+one-placement call into :func:`repro.perf.batch.evaluate_placements`,
+the model's one implementation.  The harness (:mod:`repro.harness`)
+layers the measurement methodology — exploration sweeps, repeated
+runs, noise — on top.
 """
 
 from __future__ import annotations
@@ -20,14 +24,11 @@ from repro.caching import ContentStore, IdentityMemo
 from repro.compilers.base import CompiledKernel, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import compile_kernel
-from repro.errors import HarnessError
 from repro.faults.taxonomy import SITE_KERNEL_CACHE
-from repro.libs.mathlib import library_time_s
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
-from repro.perf.ecm import NestTime, nest_time
-from repro.perf.scaling import numa_spill_penalty, omp_region_overhead_s
-from repro.suites.base import Benchmark, ParallelKind, ScalingKind
+from repro.perf.ecm import NestTime
+from repro.suites.base import Benchmark
 
 
 @dataclass(frozen=True)
@@ -245,22 +246,6 @@ class CompilationCache:
         )
 
 
-def _rank_geometry(bench: Benchmark, machine: Machine, placement: Placement) -> tuple[int, int, float]:
-    """(threads per rank, domains per rank, bandwidth share per rank)."""
-    topo = machine.topology
-    placement.validate(topo)
-    threads = placement.threads
-    if bench.max_useful_threads is not None:
-        threads = min(threads, bench.max_useful_threads)
-    domains_used = placement.domains_used(topo)
-    # A rank spans ceil(threads / cores_per_domain) domains.
-    rank_domains = min(topo.numa_domains, -(-placement.threads // topo.cores_per_domain))
-    # Ranks sharing a domain split its bandwidth.
-    ranks_per_domain = placement.ranks * rank_domains / domains_used
-    share = 1.0 / ranks_per_domain
-    return threads, rank_domains, share
-
-
 def benchmark_model(
     bench: Benchmark,
     variant: str,
@@ -270,120 +255,11 @@ def benchmark_model(
     flags: CompilerFlags | None = None,
     cache: CompilationCache | None = None,
 ) -> ModelResult:
-    """Ideal ROI time for one benchmark/variant/placement combination."""
-    if bench.parallel is ParallelKind.SERIAL and placement.total_cores_used > 1:
-        raise HarnessError(f"{bench.full_name} is serial; placement {placement} invalid")
-    if not bench.parallel.uses_mpi and placement.ranks > 1:
-        raise HarnessError(f"{bench.full_name} has no MPI; placement {placement} invalid")
-    if bench.pow2_ranks and placement.ranks & (placement.ranks - 1):
-        raise HarnessError(f"{bench.full_name} requires power-of-two ranks")
+    """Ideal ROI time for one benchmark/variant/placement combination:
+    a one-placement :func:`repro.perf.batch.evaluate_placements`."""
+    # Late import: repro.perf.batch imports this module.
+    from repro.perf.batch import evaluate_placements
 
-    cache = cache if cache is not None else CompilationCache()
-    threads, rank_domains, bw_share = _rank_geometry(bench, machine, placement)
-    work_fraction = (
-        1.0 / placement.ranks
-        if bench.parallel.uses_mpi and bench.scaling is ScalingKind.STRONG
-        else 1.0
-    )
-    # Memory saturation is driven by ALL cores active on a domain (ranks
-    # co-located on a CMG saturate it together; bw_share then splits it).
-    domains_used = placement.domains_used(machine.topology)
-    acpd = max(1, min(
-        machine.topology.cores_per_domain,
-        -(-placement.total_cores_used // domains_used),
-    ))
-    spill = numa_spill_penalty(placement, machine.topology)
-
-    total = 0.0
-    compute_total = 0.0
-    memory_total = 0.0
-    units: list[UnitBreakdown] = []
-    diagnostics: list[str] = []
-
-    for unit in bench.units:
-        kernel_s = 0.0
-        library_s = 0.0
-        omp_s = 0.0
-        nest_times: list[NestTime] = []
-        if unit.kernel is not None:
-            compiled = cache.get(variant, unit.kernel, machine, flags)
-            diagnostics.extend(compiled.diagnostics)
-            if compiled.status is not CompileStatus.OK:
-                return ModelResult(
-                    benchmark=bench.full_name,
-                    variant=variant,
-                    placement=placement,
-                    status=compiled.status,
-                    time_s=float("inf"),
-                    diagnostics=tuple(diagnostics),
-                )
-            for info in compiled.nest_infos:
-                nest_threads = threads if info.parallel else 1
-                nt = nest_time(
-                    info,
-                    machine,
-                    threads=nest_threads,
-                    active_cores_per_domain=acpd if info.parallel else 1,
-                    domains=rank_domains if info.parallel else 1,
-                    work_fraction=work_fraction,
-                    bandwidth_share=bw_share,
-                    numa_penalty=spill if info.parallel else 1.0,
-                )
-                kernel_s += nt.total_s
-                nest_times.append(nt)
-                compute_total += nt.compute_s * unit.invocations
-                memory_total += nt.memory_s * unit.invocations
-                if info.parallel and nest_threads > 1:
-                    omp_s += omp_region_overhead_s(
-                        info.omp_fork_us,
-                        info.omp_barrier_us,
-                        nest_threads,
-                        bench.barriers_per_invocation,
-                    ) / max(info.omp_scaling_quality, 1e-9)
-            kernel_s *= compiled.anomaly_multiplier
-        if unit.library is not None:
-            library_s = library_time_s(
-                unit.library,
-                machine,
-                threads=placement.threads,
-                domains=rank_domains,
-                work_fraction=work_fraction,
-            )
-        unit_total = (kernel_s + library_s + omp_s) * unit.invocations
-        total += unit_total
-        units.append(
-            UnitBreakdown(
-                kernel_name=unit.kernel.name if unit.kernel else "<library>",
-                kernel_s=kernel_s * unit.invocations,
-                library_s=library_s * unit.invocations,
-                omp_overhead_s=omp_s * unit.invocations,
-                nest_times=tuple(nest_times),
-            )
-        )
-
-    # A fully dead-code-eliminated ROI still measures the timer call and
-    # loop shell; the paper's mvt cell is ">250,000x", not infinity.
-    total = max(total, 2e-6)
-
-    comm_s = 0.0
-    if bench.parallel.uses_mpi and placement.ranks > 1:
-        # The communication fraction is quoted against the full-node
-        # work time; normalize this placement's per-rank work time to
-        # node core-seconds so the reference does not depend on the
-        # thread count chosen here.
-        t_node_work = total * placement.total_cores_used / machine.total_cores
-        comm_s = bench.mpi.comm_time_s(t_node_work, placement.ranks)
-        total += comm_s
-
-    return ModelResult(
-        benchmark=bench.full_name,
-        variant=variant,
-        placement=placement,
-        status=CompileStatus.OK,
-        time_s=total,
-        compute_s=compute_total,
-        memory_s=memory_total,
-        comm_s=comm_s,
-        units=tuple(units),
-        diagnostics=tuple(diagnostics),
-    )
+    return evaluate_placements(
+        bench, variant, machine, (placement,), flags=flags, cache=cache
+    )[0]

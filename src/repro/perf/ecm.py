@@ -14,6 +14,11 @@ Combines, for one compiled nest on one machine:
 
 The nest time is the ECM-style max of the compute and transfer times
 (modern cores overlap them), inflated by runtime-check overhead.
+
+:class:`NestFeatures` holds the placement-independent half of a nest's
+time and :meth:`NestFeatures.times` the placement-dependent half, on
+floats for one placement or numpy arrays for many.  :func:`nest_time`
+and the batched evaluator (:mod:`repro.perf.batch`) both go through it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from repro.compilers.base import CodegenNestInfo
 from repro.ir.statement import OpCount
 from repro.machine.machine import Machine
-from repro.perf.traffic import TrafficReport, nest_traffic
+from repro.perf.traffic import TrafficReport, TrafficTable
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,92 @@ def cycles_per_iteration(info: CodegenNestInfo, machine: Machine) -> float:
     return cycles
 
 
+class NestFeatures:
+    """The placement-independent half of one nest's ECM time.
+
+    In-core cycles per iteration, the latency-bound memory rate per
+    core, and the nest's :class:`~repro.perf.traffic.TrafficTable`.
+    :meth:`times` adds one placement's (or many placements') thread
+    count, bandwidth and traffic volumes.
+    """
+
+    __slots__ = (
+        "info", "machine", "iterations", "eliminated", "empty", "cpi",
+        "irr_rate_per_core", "one_plus_rco", "table",
+    )
+
+    def __init__(self, info: CodegenNestInfo, machine: Machine) -> None:
+        self.info = info
+        self.machine = machine
+        self.iterations = info.nest.iterations
+        self.eliminated = info.eliminated
+        self.empty = info.eliminated or info.nest.iterations == 0
+        self.one_plus_rco = 1.0 + info.runtime_check_overhead
+        self.table = TrafficTable(info, machine)
+        if self.eliminated:
+            # An eliminated nest costs nothing; its annotations may be
+            # incomplete, so none of them is read.
+            self.cpi = 0.0
+            self.irr_rate_per_core = 0.0
+            return
+        self.cpi = cycles_per_iteration(info, machine)
+
+        # Latency-exposed streams run at a concurrency-limited rate:
+        # outstanding lines per core set by the hardware MSHRs plus
+        # software prefetch coverage — unless each miss's address
+        # depends on the previous one (dependent-load chains), which
+        # serializes everything.
+        if info.latency_serialized:
+            concurrency = 1.3
+        else:
+            prefetch = max(info.sw_prefetch, machine.hw_prefetch_quality * 0.3)
+            concurrency = 4.0 + 28.0 * prefetch
+        # Scattered streams also miss the TLB; huge pages
+        # (-Klargepage) remove the page-walk latency add-on.
+        latency = machine.memory.latency
+        if not info.large_pages:
+            latency *= 1.0 + 12e-9 / machine.memory.latency * (
+                65536 / max(machine.base_page_bytes, 4096)
+            ) * 0.25
+        self.irr_rate_per_core = machine.memory.latency_bound_rate(
+            concurrency, machine.line_bytes, latency=latency
+        )
+
+    def traffic_for(self, active_cores_per_domain: int) -> TrafficReport:
+        """The nest's traffic report for one active-core count (memoized)."""
+        return self.table.report(active_cores_per_domain)
+
+    def times(self, work_fraction, threads, volumes, exposed, bandwidth,
+              numa_penalty, minimum=min, maximum=max):
+        """``(compute, transfers, total)`` seconds of one nest execution.
+
+        ``volumes`` are the whole nest's bytes per boundary, L1<->L2
+        first and memory last; ``exposed`` is the memory boundary's
+        latency-exposed fraction; ``bandwidth`` is the memory bandwidth
+        this rank's threads get, before the compiler's memory-schedule
+        quality.  Every argument is a float for one placement, or a
+        numpy array over many with ``minimum=np.minimum`` and
+        ``maximum=np.maximum.reduce``: the same IEEE-754 operations
+        either way.
+        """
+        machine = self.machine
+        frequency = machine.core.frequency_hz
+        compute = self.iterations * work_fraction * self.cpi / frequency / threads
+        transfers = []
+        *caches, memory = volumes
+        for level, total in zip(machine.cache_levels[1:], caches):
+            per_core = level.bytes_per_cycle_per_core * frequency
+            transfers.append(total * work_fraction / (per_core * threads))
+        volume = memory * work_fraction
+        bw = bandwidth * self.info.memory_schedule_quality
+        t = volume * (1.0 - exposed) / bw
+        t = t + volume * exposed / minimum(self.irr_rate_per_core * threads, bw)
+        # A rank straddling NUMA domains slows its whole memory path.
+        transfers.append(t * numa_penalty)
+        total = maximum([compute] + transfers) * self.one_plus_rco
+        return compute, transfers, total
+
+
 def nest_time(
     info: CodegenNestInfo,
     machine: Machine,
@@ -139,65 +230,28 @@ def nest_time(
     rank's threads straddle NUMA domains (first-touch pages remote to
     most threads).
     """
-    if info.eliminated:
-        empty = nest_traffic(info, machine)
-        return NestTime(0.0, (0.0,) * len(empty.boundaries), 0.0, 0.0, empty)
-
     threads = max(1, threads)
     if active_cores_per_domain is None:
         active_cores_per_domain = max(1, threads // max(domains, 1))
-
-    iterations = info.nest.iterations * work_fraction
-    cpi = cycles_per_iteration(info, machine)
-    compute_s = iterations * cpi / machine.core.frequency_hz / threads
-
-    traffic = nest_traffic(info, machine, active_cores_per_domain)
-    transfer: list[float] = []
-    for idx, boundary in enumerate(traffic.boundaries):
-        volume = boundary.total_bytes * work_fraction
-        if boundary.source == "memory":
-            regular = volume * (1.0 - boundary.latency_exposed_fraction)
-            irregular = volume * boundary.latency_exposed_fraction
-            bw = (
-                machine.memory.bandwidth(active_cores_per_domain)
-                * domains
-                * bandwidth_share
-                * info.memory_schedule_quality
-            )
-            t = regular / bw if regular else 0.0
-            if irregular:
-                # Concurrency-limited: outstanding lines per core set by
-                # the hardware MSHRs plus software prefetch coverage —
-                # unless each miss's address depends on the previous one
-                # (dependent-load chains), which serializes everything.
-                if info.latency_serialized:
-                    concurrency = 1.3
-                else:
-                    prefetch = max(info.sw_prefetch, machine.hw_prefetch_quality * 0.3)
-                    concurrency = 4.0 + 28.0 * prefetch
-                # Scattered streams also miss the TLB; huge pages
-                # (-Klargepage) remove the page-walk latency add-on.
-                latency = machine.memory.latency
-                if not info.large_pages:
-                    latency *= 1.0 + 12e-9 / machine.memory.latency * (
-                        65536 / max(machine.base_page_bytes, 4096)
-                    ) * 0.25
-                rate_per_core = machine.memory.latency_bound_rate(
-                    concurrency, machine.line_bytes, latency=latency
-                )
-                rate = min(rate_per_core * threads, bw)
-                t += irregular / rate
-            transfer.append(t * numa_penalty)
-        else:
-            level = machine.cache_levels[idx + 1]
-            per_core = level.bytes_per_cycle_per_core * machine.core.frequency_hz
-            transfer.append(volume / (per_core * threads))
-
-    total = max([compute_s] + transfer) * (1.0 + info.runtime_check_overhead)
+    # Not memoized: static advice builds a fresh info per call, and its
+    # entries would evict the campaign's from the batched feature memo.
+    features = NestFeatures(info, machine)
+    traffic = features.traffic_for(active_cores_per_domain)
+    if features.eliminated:
+        zeros = (0.0,) * len(traffic.boundaries)
+        return NestTime(0.0, zeros, 0.0, 0.0, traffic)
+    compute_s, transfer, total = features.times(
+        work_fraction,
+        threads,
+        [boundary.total_bytes for boundary in traffic.boundaries],
+        traffic.boundaries[-1].latency_exposed_fraction,
+        machine.memory.bandwidth(active_cores_per_domain) * domains * bandwidth_share,
+        numa_penalty,
+    )
     return NestTime(
         compute_s=compute_s,
         transfer_s=tuple(transfer),
-        memory_s=transfer[-1] if transfer else 0.0,
+        memory_s=transfer[-1],
         total_s=total,
         traffic=traffic,
     )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.compilers.base import CodegenNestInfo
 from repro.machine.machine import Machine
 from repro.perf.ecm import nest_time
-from repro.perf.traffic import nest_traffic
 
 
 @dataclass(frozen=True)
@@ -73,16 +72,14 @@ def roofline_point(
     """Place one compiled nest on the machine's roofline."""
     nest = info.nest
     flops = nest.total_flops()
-    traffic = nest_traffic(info, machine, max(1, threads // max(domains, 1)))
-    mem_bytes = max(traffic.memory_bytes, 1e-9)
+    t = nest_time(info, machine, threads=threads, domains=domains)
+    mem_bytes = max(t.traffic.memory_bytes, 1e-9)
     ai = flops / mem_bytes
 
     per_domain = max(1, threads // max(domains, 1))
     bw = machine.memory.bandwidth(per_domain) * domains * info.memory_schedule_quality
     peak = machine.core.peak_dp_flops * threads
     attainable = min(peak, ai * bw)
-
-    t = nest_time(info, machine, threads=threads, domains=domains)
     modelled = flops / t.total_s if t.total_s > 0 else 0.0
 
     return RooflinePoint(

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 from repro.compilers.base import CodegenNestInfo
-from repro.ir.analysis import working_set_bytes
 from repro.ir.array import Access
 from repro.ir.loop import LoopNest
 from repro.ir.types import AccessKind
@@ -176,77 +175,108 @@ def _misses_beyond(
     return outer_independent * distinct
 
 
+class TrafficTable:
+    """Boundary traffic of one compiled nest, for any active-core count.
+
+    The placement changes a nest's traffic only through the fit depth
+    of each boundary's upper level, whose effective capacity shrinks as
+    more cores share it.  The table walks the access list once per fit
+    depth, on first use, and memoizes one report per active-core count.
+    """
+
+    __slots__ = (
+        "info", "machine", "_empty", "_trips", "_ws_profile",
+        "_block_factor", "_volumes", "_reports",
+    )
+
+    def __init__(self, info: CodegenNestInfo, machine: Machine) -> None:
+        self.info = info
+        self.machine = machine
+        self._volumes: dict[int, list[tuple[AccessKind, float, bool]]] = {}
+        self._reports: dict[int, TrafficReport] = {}
+        nest = info.nest
+        self._empty = info.eliminated or nest.iterations == 0
+        if self._empty:
+            return
+        self._trips = {l.var: l.trip_count for l in nest.loops}
+        self._ws_profile = _resident_ws_profile(nest, machine.line_bytes)
+
+        # Polly tiling: per-tile working set T fitting level c divides the
+        # refetch multipliers by the block trip count b ~ (ws / T) rooted in
+        # the tiled dimensionality; we use the conservative square-block b.
+        self._block_factor = 1.0
+        if info.tile_working_set is not None and self._ws_profile[0] > info.tile_working_set:
+            n_arrays = max(1, len(nest.arrays))
+            elem = 8
+            side = math.sqrt(info.tile_working_set / (elem * n_arrays))
+            self._block_factor = max(1.0, side)
+
+    def report(self, active_cores_per_domain: int = 1) -> TrafficReport:
+        """The nest's traffic with ``active_cores_per_domain`` cores
+        sharing each shared cache level."""
+        report = self._reports.get(active_cores_per_domain)
+        if report is None:
+            report = self._reports[active_cores_per_domain] = self._report(
+                active_cores_per_domain)
+        return report
+
+    def _report(self, active_cores_per_domain: int) -> TrafficReport:
+        levels = self.machine.cache_levels
+        # Boundary i: between levels[i] and levels[i+1] (or memory).
+        sources = [lvl.name for lvl in levels[1:]] + ["memory"]
+        if self._empty:
+            return TrafficReport(
+                tuple(BoundaryTraffic(source, 0.0, 0.0) for source in sources))
+        boundaries = []
+        for level, source in zip(levels, sources):
+            capacity = level.effective_capacity(active_cores_per_domain)
+            fit = _fit_depth(self._ws_profile, capacity)
+            write_allocate = source == "memory" and not self.info.streaming_stores
+            read_bytes = 0.0
+            write_bytes = 0.0
+            irregular_bytes = 0.0
+            for kind, volume, irregular in self._access_volumes(fit):
+                if kind is AccessKind.READ:
+                    read_bytes += volume
+                    if irregular:
+                        irregular_bytes += volume
+                elif kind is AccessKind.WRITE:
+                    write_bytes += volume
+                    if write_allocate:
+                        # Write-allocate: the line is read before the store.
+                        read_bytes += volume
+                else:  # UPDATE: read-modify-write
+                    read_bytes += volume
+                    write_bytes += volume
+                    if irregular:
+                        irregular_bytes += volume
+            frac = irregular_bytes / read_bytes if read_bytes > 0 else 0.0
+            boundaries.append(
+                BoundaryTraffic(source, read_bytes, write_bytes, min(1.0, frac)))
+        return TrafficReport(tuple(boundaries))
+
+    def _access_volumes(self, fit: int) -> "list[tuple[AccessKind, float, bool]]":
+        """(kind, bytes, irregular) per access past a level with ``fit``."""
+        volumes = self._volumes.get(fit)
+        if volumes is not None:
+            return volumes
+        nest = self.info.nest
+        line = self.machine.line_bytes
+        captured_vars = frozenset(l.var for l in nest.loops[max(fit - 1, 0):])
+        volumes = []
+        for acc in nest.accesses:
+            fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
+            misses = _misses_beyond(acc, nest, fit, self._trips, self._block_factor)
+            irregular = acc.indirect or fetch_bytes_per_element >= line
+            volumes.append((acc.kind, misses * fetch_bytes_per_element, irregular))
+        self._volumes[fit] = volumes
+        return volumes
+
+
 def nest_traffic(
     info: CodegenNestInfo,
     machine: Machine,
     active_cores_per_domain: int = 1,
 ) -> TrafficReport:
     """Traffic report for one execution of a compiled nest."""
-    nest = info.nest
-    if info.eliminated or nest.iterations == 0:
-        levels = [lvl.name for lvl in machine.cache_levels[1:]] + ["memory"]
-        return TrafficReport(
-            tuple(BoundaryTraffic(name, 0.0, 0.0) for name in levels)
-        )
-
-    trips = {l.var: l.trip_count for l in nest.loops}
-    line = machine.line_bytes
-    ws_profile = _resident_ws_profile(nest, line)
-
-    # Polly tiling: per-tile working set T fitting level c divides the
-    # refetch multipliers by the block trip count b ~ (ws / T) rooted in
-    # the tiled dimensionality; we use the conservative square-block b.
-    block_factor = 1.0
-    if info.tile_working_set is not None and ws_profile[0] > info.tile_working_set:
-        n_arrays = max(1, len(nest.arrays))
-        elem = 8
-        side = math.sqrt(info.tile_working_set / (elem * n_arrays))
-        block_factor = max(1.0, side)
-
-    boundaries: list[BoundaryTraffic] = []
-    # Boundary i: between cache_levels[i] and cache_levels[i+1] (or memory).
-    for idx in range(len(machine.cache_levels)):
-        level_above = machine.cache_levels[idx]
-        capacity = level_above.effective_capacity(active_cores_per_domain)
-        fit = _fit_depth(ws_profile, capacity)
-        source = (
-            machine.cache_levels[idx + 1].name
-            if idx + 1 < len(machine.cache_levels)
-            else "memory"
-        )
-        captured_vars = frozenset(
-            l.var for l in nest.loops[max(fit - 1, 0):]
-        )
-        read_bytes = 0.0
-        write_bytes = 0.0
-        irregular_bytes = 0.0
-        for acc in nest.accesses:
-            fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
-            misses = _misses_beyond(acc, nest, fit, trips, block_factor)
-            volume = misses * fetch_bytes_per_element
-            irregular = acc.indirect or fetch_bytes_per_element >= line
-            if acc.kind is AccessKind.READ:
-                read_bytes += volume
-                if irregular:
-                    irregular_bytes += volume
-            elif acc.kind is AccessKind.WRITE:
-                write_bytes += volume
-                if source == "memory" and not info.streaming_stores:
-                    # Write-allocate: the line is read before the store.
-                    read_bytes += volume
-            else:  # UPDATE: read-modify-write
-                read_bytes += volume
-                write_bytes += volume
-                if irregular:
-                    irregular_bytes += volume
-        total_read = read_bytes
-        frac = irregular_bytes / total_read if total_read > 0 else 0.0
-        boundaries.append(
-            BoundaryTraffic(
-                source=source,
-                read_bytes=read_bytes,
-                write_bytes=write_bytes,
-                latency_exposed_fraction=min(1.0, frac),
-            )
-        )
-    return TrafficReport(tuple(boundaries))
+    return TrafficTable(info, machine).report(active_cores_per_domain)

@@ -106,6 +106,41 @@ class TestKernelCommand:
         with pytest.raises(Exception):
             main(["kernel", str(path)])
 
+    def test_kernel_time_is_the_campaign_model(self, capsys, tmp_path):
+        """A parallel kernel is costed as a one-unit OpenMP benchmark:
+        fork/barrier cost and the 2 µs floor included."""
+        from repro.compilers import STUDY_VARIANTS
+        from repro.ir import kernel_to_json
+        from repro.machine import Placement, a64fx
+        from repro.perf import benchmark_model
+        from repro.suites.base import Benchmark, ParallelKind, WorkUnit
+        from repro.units import pretty_seconds
+        from tests.conftest import build_stream
+
+        kernel = build_stream()
+        path = tmp_path / "triad.json"
+        path.write_text(kernel_to_json(kernel))
+        assert main(["kernel", str(path), "--threads", "12"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        bench = Benchmark(kernel.name, "kernel", kernel.language,
+                          (WorkUnit(kernel=kernel),), ParallelKind.OPENMP)
+        for variant in STUDY_VARIANTS:
+            model = benchmark_model(bench, variant, a64fx(), Placement(1, 12))
+            assert model.units[0].omp_overhead_s > 0
+            line = next(l for l in lines if l.split()[0] == variant)
+            assert line.split()[1:3] == pretty_seconds(model.time_s).split()
+
+    def test_kernel_rejects_threads_beyond_the_node(self, capsys, tmp_path):
+        from repro.ir import kernel_to_json
+        from tests.conftest import build_stream
+
+        path = tmp_path / "triad.json"
+        path.write_text(kernel_to_json(build_stream()))
+        assert main(["kernel", str(path), "--threads", "64"]) == 2
+        captured = capsys.readouterr()
+        assert "--threads 64" in captured.err
+        assert captured.out == ""
+
 
 class TestCliTrace:
     """run --trace/--metrics plus the trace summarize/validate commands."""

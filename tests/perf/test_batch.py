@@ -26,6 +26,7 @@ from repro.ir.builder import AccessSpec
 from repro.machine import CacheLevel, Machine, SCALAR, a64fx
 from repro.machine.core import CoreModel
 from repro.machine.memory import MemorySystem
+from repro.machine.select import resolve_machine
 from repro.machine.topology import Topology
 from repro.perf import (
     CompilationCache,
@@ -40,29 +41,35 @@ from repro.units import KiB, gb_per_s, ghz
 
 
 class TestDifferentialFullGrid:
-    def test_full_default_grid_bit_identical(self, a64fx_machine):
+    @pytest.mark.parametrize(
+        "machine_name, min_cells",
+        [("a64fx", 4000), ("xeon", 3000), ("thunderx2", 3000)],
+        ids=["a64fx", "xeon", "thunderx2"],
+    )
+    def test_full_default_grid_bit_identical(self, machine_name, min_cells):
         """Every (benchmark, variant, placement) cell of the default
         campaign grid: batched == scalar, exactly."""
+        machine = resolve_machine(machine_name)
         cache = CompilationCache()
         cells = 0
         failed = 0
         for bench in all_benchmarks():
-            placements = placement_candidates(bench, a64fx_machine)
+            placements = placement_candidates(bench, machine)
             for variant in STUDY_VARIANTS:
                 batched = evaluate_placements(
-                    bench, variant, a64fx_machine, placements, cache=cache
+                    bench, variant, machine, placements, cache=cache
                 )
                 assert len(batched) == len(placements)
                 for placement, got in zip(placements, batched):
                     want = benchmark_model(
-                        bench, variant, a64fx_machine, placement, cache=cache
+                        bench, variant, machine, placement, cache=cache
                     )
                     assert got == want, (bench.full_name, variant, placement)
                     cells += 1
                     if not want.valid:
                         failed += 1
                         assert got.time_s == float("inf")
-        assert cells > 4000
+        assert cells > min_cells
         # Figure 2's compile/runtime-failure cells must be represented.
         assert failed > 0
 
