@@ -623,14 +623,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    from repro.compilers import STUDY_VARIANTS, compile_kernel
+    from repro.compilers import STUDY_VARIANTS
     from repro.harness import measure_benchmark
     from repro.machine import a64fx
+    from repro.perf import CompilationCache
     from repro.suites import get_benchmark
     from repro.units import pretty_seconds
 
     bench = get_benchmark(args.benchmark)
     machine = a64fx()
+    cache = CompilationCache()
     print(f"{bench.full_name} [{bench.language.value}] — {bench.notes}")
     print(
         f"  parallel={bench.parallel.value} scaling={bench.scaling.value} "
@@ -638,7 +640,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
     )
     base_time = None
     for variant in STUDY_VARIANTS:
-        record = measure_benchmark(bench, variant, machine)
+        record = measure_benchmark(bench, variant, machine, cache=cache)
         if not record.valid:
             print(f"  {variant:12s} {record.status}")
             continue
@@ -653,7 +655,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
         for unit in bench.units:
             if unit.kernel is None:
                 continue
-            compiled = compile_kernel(variant, unit.kernel, machine)
+            compiled = cache.get(variant, unit.kernel, machine, None)
             if not compiled.ok:
                 continue
             for info in compiled.nest_infos:

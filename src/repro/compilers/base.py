@@ -18,11 +18,8 @@ paper's Figure 2 reports.
 from __future__ import annotations
 
 import enum
-import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-
-from repro import telemetry
+from dataclasses import dataclass, field
 
 from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
@@ -131,10 +128,6 @@ class CompiledKernel:
     #: Empirical Figure 2 outlier correction (see quirks.py); the cost
     #: model multiplies the kernel's time by this.
     anomaly_multiplier: float = 1.0
-    #: Static-analysis findings for the source kernel (the pre-compile
-    #: lint pass; see :mod:`repro.staticanalysis`).  Variant-independent:
-    #: the same kernel lints identically under every compiler.
-    lint: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -202,34 +195,7 @@ class Compiler(ABC):
         machine: Machine,
         flags: CompilerFlags | None = None,
     ) -> CompiledKernel:
-        """Run the pipeline over every nest of ``kernel``.
-
-        Traced as a ``compile`` span (nested under the cell's
-        ``explore``/``simulate`` spans when telemetry is active) with a
-        compile-time histogram and success/failure counters.
-        """
-        # Pre-compile static analysis: variant-independent findings,
-        # attached to the artifact so downstream consumers (campaign
-        # lint gate, reports) see them next to the codegen outcome.
-        # Late import: the OPT010 rule reaches back into the pass layer.
-        from repro.staticanalysis.driver import analyze_kernel_cached
-
-        lint = analyze_kernel_cached(kernel, machine)
-        t0 = time.monotonic()
-        with telemetry.span("compile", kernel=kernel.name, variant=self.variant):
-            compiled = replace(self._compile(kernel, machine, flags), lint=lint)
-        telemetry.observe("compile.time_s", time.monotonic() - t0)
-        telemetry.count("compile.count")
-        if compiled.status is not CompileStatus.OK:
-            telemetry.count("compile.failed")
-        return compiled
-
-    def _compile(
-        self,
-        kernel: Kernel,
-        machine: Machine,
-        flags: CompilerFlags | None,
-    ) -> CompiledKernel:
+        """Run the pipeline over every nest of ``kernel``."""
         flags = flags if flags is not None else self.default_flags()
         diagnostics: list[str] = []
 

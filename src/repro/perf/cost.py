@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +69,9 @@ class ModelResult:
 #: 2: CompiledKernel grew the ``lint`` field (static-analysis findings).
 #: 3: lint findings now include the cross-compiler divergence rules
 #:    (DIV001-DIV005), so cached ``lint`` tuples are incomplete.
+#: The ``lint`` field has since gone without a bump: a version-3 pickle
+#: still loads, its stray attribute unseen by the fields, ``==`` and
+#: ``repr``, and cell keys mix this number in, so ``cells/`` stays warm.
 CACHE_SCHEMA_VERSION = 3
 
 
@@ -122,20 +126,26 @@ def _memoized_compile(
     machine: Machine,
     flags: "CompilerFlags | None",
 ) -> CompiledKernel:
-    # The flight recorder traces compile/lint spans from inside
-    # compile_kernel(); a memo hit would silently drop them and make the
-    # span population depend on what ran earlier in the process.  Trace
-    # fidelity wins over speed whenever telemetry is active.
-    if telemetry.current() is not None:
-        return compile_kernel(variant, kernel, machine, flags)  # type: ignore[arg-type]
+    """Compile through the process memo, the one place compiles are
+    memoized and observed, so a traced campaign does an untraced one's
+    work.  Each call opens one ``compile`` span, ``cached`` saying
+    whether the memo answered, so the span population does not depend
+    on what ran earlier in the process."""
     parts = (variant, machine_memo_key(machine), flags)
     compiled = _COMPILE_MEMO.get(kernel, *parts)
-    if compiled is None:
-        compiled = _COMPILE_MEMO.put(
-            kernel, *parts,
-            value=compile_kernel(variant, kernel, machine, flags),  # type: ignore[arg-type]
-        )
-    return compiled
+    name = kernel.name  # type: ignore[attr-defined]
+    with telemetry.span("compile", kernel=name, variant=variant,
+                        cached=compiled is not None):
+        if compiled is not None:
+            telemetry.count("compile.memo_hit")
+            return compiled
+        t0 = time.monotonic()
+        compiled = compile_kernel(variant, kernel, machine, flags)  # type: ignore[arg-type]
+        telemetry.observe("compile.time_s", time.monotonic() - t0)
+    telemetry.count("compile.count")
+    if not compiled.ok:
+        telemetry.count("compile.failed")
+    return _COMPILE_MEMO.put(kernel, *parts, value=compiled)
 
 
 def compilation_cache_key(

@@ -30,8 +30,8 @@ catches before burning node-hours.  This package provides that check:
   renderers (physical locations + suggested fixes) for CI ingestion.
 
 Entry points: ``repro lint`` / ``repro advise-static`` on the CLI,
-``CampaignConfig.lint_policy`` in campaigns, ``CompiledKernel.lint``
-on compile artifacts, and ``tools/lint_gate.py`` in CI.
+``CampaignConfig.lint_policy`` in campaigns, and ``tools/lint_gate.py``
+in CI.  Compilation never runs the analyzer.
 """
 
 from repro.staticanalysis.baseline import (

@@ -702,7 +702,8 @@ def _interchange_summary(
     nest: LoopNest, deps: tuple[Dependence, ...], line_bytes: int
 ) -> InterchangeSummary:
     # Late import: the stride cost model lives in the compiler layer,
-    # which itself invokes this analyzer pre-compile.
+    # which imports repro.ir, whose package init imports this package
+    # through ir/validate.py.
     from repro.compilers.passes.interchange import stride_cost
 
     prefix = _movable_prefix(nest)

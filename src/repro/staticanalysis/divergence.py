@@ -108,7 +108,8 @@ class VariantPrediction:
 
 def _variant_model(variant: str):
     """(caps, default flags) of a study variant, by Figure 2 name."""
-    # Late import: the compiler layer lints kernels through this package.
+    # Late import: the compiler layer imports repro.ir, whose package
+    # init imports this package through ir/validate.py.
     from repro.compilers.registry import get_compiler
 
     compiler = get_compiler(variant)

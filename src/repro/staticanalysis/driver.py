@@ -1,29 +1,29 @@
 """The analysis driver: one walk over a kernel, dispatching to rules.
 
 :func:`analyze_kernel` is the single entry point everything else wraps:
-the compiler model runs it pre-compile and attaches the findings to the
-:class:`~repro.compilers.base.CompiledKernel`, the campaign engine runs
-it per benchmark to enforce ``lint_policy``, and the CLI ``lint``
-subcommand runs it over whole suites.
+the campaign engine's lint gate runs it per benchmark to enforce
+``lint_policy``, and the CLI ``lint``/``advise-static`` subcommands and
+``tools/lint_gate.py`` run it over whole suites.  Compilation never
+runs it.
 
 The :class:`AnalysisContext` memoizes the expensive shared inputs —
 dependence sets per nest, structural validation per kernel, and the
 fixpoint dataflow facts (:mod:`repro.staticanalysis.dataflow`) — so
 that seven rules reading the same nest pay for one ``nest_dependences``
-call and one facts computation, and repeated analyses of the same
-benchmark (one per campaign cell) pay for one analysis.
+call and one facts computation.
 
-Two caches sit above the context memos:
+Two caches sit above the context memos, both used by the engine's lint
+gate:
 
 * the per-process identity memos (:func:`analyze_kernel_cached`,
   :func:`analyze_benchmark_cached`, bounded
-  :class:`~repro.caching.IdentityMemo` s), which collapse the five
-  variants x N thread counts of a campaign to one analysis per kernel
-  object;
+  :class:`~repro.caching.IdentityMemo` s), which collapse repeated
+  campaigns in one process, and benchmarks sharing a kernel object, to
+  one analysis per kernel object;
 * the optional persistent :class:`AnalysisCache`, keyed by kernel and
   machine *content* fingerprints, which survives process boundaries —
   the engine keeps one beside its kernel cache (``<cache-dir>/
-  analysis``), and ``tools/lint_gate.py`` uses it for warm CI runs.
+  analysis``).
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ class AnalysisCache:
         self.misses = 0
 
     def key(self, kernel: Kernel, machine: Machine) -> str:
-        # Late import: repro.perf imports the compiler layer, which
-        # lints kernels through this module.
+        # Late import: repro.perf imports repro.ir, whose package init
+        # imports this package through ir/validate.py.
         from repro.perf.cost import kernel_fingerprint, machine_fingerprint
 
         payload = (
@@ -232,9 +232,10 @@ class AnalysisCache:
 # -- per-process identity memos ---------------------------------------------
 #
 # Findings depend only on the kernel IR and the machine, so memoize by
-# (object, machine name).  The bounds sit far above the registry's 133
-# kernels and 108 benchmarks per machine; they bite only in a
-# long-lived pool worker, which unpickles fresh kernels for every chunk.
+# (object, machine name).  Only the engine's lint gate fills these, in
+# the campaign's own process.  The bounds sit far above the registry's
+# 133 kernels and 108 benchmarks per machine; they bite only for a
+# long-lived caller that keeps linting freshly built kernel objects.
 
 _BENCH_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(1024)
 _KERNEL_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(4096)
@@ -243,11 +244,11 @@ _KERNEL_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(4096)
 def _reemit(kernel_names: "tuple[str, ...]", diags: tuple) -> None:
     """Emit the lint span/counters for a memo hit.
 
-    Telemetry totals must not depend on process-local memo warmth —
-    a campaign over 4 workers (cold memos everywhere) and over 1
-    worker (warm main process) must record identical span and counter
-    populations — so cache hits re-emit exactly what a fresh analysis
-    would have.
+    Telemetry totals must not depend on what was analyzed before — a
+    campaign run after another in the same process (warm memos), or
+    over a warm ``<cache-dir>/analysis``, must record the span and
+    counter populations of a cold one — so cache hits re-emit exactly
+    what a fresh analysis would have.
     """
     for name in kernel_names:
         with telemetry.span(SPAN_LINT, kernel=name, cached=True):
@@ -284,11 +285,10 @@ def analyze_kernel_cached(
 ) -> tuple[Diagnostic, ...]:
     """Memoized :func:`analyze_kernel` (identity-keyed, per process).
 
-    The compile driver calls this once per (kernel, variant) cell;
-    suite kernels are module-level singletons, so the identity key
-    collapses the five variants (and every thread count) to one walk.
-    With ``cache``, a persistent :class:`AnalysisCache` is consulted
-    between the memo and a fresh analysis.
+    Suite kernels are module-level singletons, so the identity key
+    collapses every later analysis of a kernel in this process to one
+    walk.  With ``cache``, a persistent :class:`AnalysisCache` is
+    consulted between the memo and a fresh analysis.
     """
     return _kernel_diags(kernel, machine, cache, None)
 
@@ -298,10 +298,10 @@ def analyze_benchmark_cached(
 ) -> tuple[Diagnostic, ...]:
     """Memoized :func:`analyze_benchmark` (identity-keyed, per process).
 
-    Composes the per-kernel memo (so the engine's lint gate and the
-    compile path share one analysis per kernel) and deduplicates by
-    diagnostic identity — benchmarks whose units share a kernel object
-    report each finding once even on warm caches.
+    Composes the per-kernel memo (so benchmarks sharing a kernel share
+    one analysis of it) and deduplicates by diagnostic identity —
+    benchmarks whose units share a kernel object report each finding
+    once even on warm caches.
     """
     hit = _BENCH_DIAGNOSTICS.get(benchmark, machine.name)
     if hit is not None:

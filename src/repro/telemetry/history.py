@@ -365,44 +365,7 @@ def merge_history(
     return MergedHistory(fingerprint=fingerprint, shards=tuple(shards))
 
 
-# -- trend queries against the bench baseline ------------------------------
-
-
-@dataclass(frozen=True)
-class RunTrend:
-    """One run segment summarized for trend comparison."""
-
-    started_t: float
-    fingerprint: str
-    shard: tuple[int, int]
-    cells: int
-    elapsed_s: float
-    throughput_cps: float
-
-
-def run_trends(store: HistoryStore) -> tuple[RunTrend, ...]:
-    """Per-run throughput across everything the store has seen."""
-    trends: list[RunTrend] = []
-    for header, samples in store.runs():
-        if not samples:
-            continue
-        last = samples[-1]
-        raw = header.get("shard", (1, 1))
-        try:
-            shard = (int(raw[0]), int(raw[1]))
-        except (TypeError, ValueError, IndexError):
-            shard = (1, 1)
-        trends.append(
-            RunTrend(
-                started_t=float(header.get("t", 0.0)),
-                fingerprint=str(header.get("fingerprint", "")),
-                shard=shard,
-                cells=last.completed,
-                elapsed_s=last.elapsed_s,
-                throughput_cps=last.throughput_cps,
-            )
-        )
-    return tuple(trends)
+# -- the bench baseline's reference rate -----------------------------------
 
 
 def baseline_throughput(baseline: dict) -> "float | None":

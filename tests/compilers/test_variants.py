@@ -43,6 +43,20 @@ class TestRegistry:
         assert get_compiler("LLVM+Polly").default_flags().polly
 
 
+class TestCompileRunsNoAnalysis:
+    def test_compile_never_calls_the_static_analyzer(self, a64fx_machine, monkeypatch):
+        # Fresh kernel objects miss every analyzer memo, so any analysis
+        # inside compilation would reach analyze_kernel and raise.
+        def refuse(*args, **kwargs):
+            raise AssertionError("compilation ran the static analyzer")
+
+        monkeypatch.setattr("repro.staticanalysis.driver.analyze_kernel", refuse)
+        for language in (Language.C, Language.FORTRAN):
+            kernel = build_gemm(96, language)
+            for variant in STUDY_VARIANTS:
+                assert compile_kernel(variant, kernel, a64fx_machine).ok
+
+
 class TestFortranDelegation:
     def test_llvm_fortran_uses_frt_pipeline(self, a64fx_machine):
         kernel = build_gemm(128, Language.FORTRAN)

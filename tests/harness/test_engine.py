@@ -551,6 +551,30 @@ class TestTelemetryMergeAcrossWorkers:
         assert all(s.parent_id == root.span_id for s in cells)
 
 
+class TestTracedRunUsesTheCompileMemo:
+    """Telemetry observes the compile memo instead of bypassing it, so a
+    traced campaign does the untraced one's work."""
+
+    def test_traced_rerun_compiles_nothing(self, a64fx_machine):
+        benches = micro_suite().benchmarks[:3]
+
+        def run(tel=None):
+            return CampaignEngine(
+                a64fx_machine, variants=("GNU", "LLVM"), benchmarks=benches,
+                telemetry=tel,
+            ).run()
+
+        untraced = run()
+        tel = Telemetry()
+        traced = run(tel)
+        assert traced.records == untraced.records
+        assert tel.metrics.counter_value("compile.count") == 0
+        assert tel.metrics.counter_value("compile.memo_hit") > 0
+        compiles = [s for s in tel.spans if s.name == "compile"]
+        assert compiles
+        assert all(s.attrs["cached"] is True for s in compiles)
+
+
 class TestResultTelemetryBlock:
     """CampaignResult carries (and round-trips) the flight recorder."""
 

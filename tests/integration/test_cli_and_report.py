@@ -64,6 +64,26 @@ class TestCliExtensions:
         assert "order=ijk" in out  # FJtrad's missed interchange visible
         assert "gain=" in out
 
+    def test_show_compiles_through_its_cache(self, capsys, monkeypatch):
+        import repro.compilers
+        import repro.compilers.registry
+        import repro.perf.cost
+
+        assert main(["show", "polybench.2mm"]) == 0
+        first = capsys.readouterr().out
+        original = repro.compilers.registry.compile_kernel
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in (repro.compilers, repro.compilers.registry, repro.perf.cost):
+            monkeypatch.setattr(module, "compile_kernel", counting)
+        assert main(["show", "polybench.2mm"]) == 0
+        assert calls == []
+        assert capsys.readouterr().out == first
+
     def test_show_failure_cell(self, capsys):
         assert main(["show", "micro.k22"]) == 0
         out = capsys.readouterr().out
