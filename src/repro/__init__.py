@@ -25,16 +25,32 @@ measurement campaigns and :func:`repro.api.evaluate_grid` for batched
 model-space sweeps.
 """
 
+from collections.abc import Callable
+from importlib import import_module
+
 __version__ = "2.0.0"
 
-from repro.api import (  # noqa: E402  (re-export after docstring/version)
-    CampaignConfig,
-    CampaignEvent,
-    CampaignSession,
-    EventKind,
-    GridSpec,
-    evaluate_grid,
-)
+
+def _lazy_exports(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> Callable[[str], object]:
+    """A PEP 562 module ``__getattr__`` for ``package``: each name in
+    ``exports`` (module -> names) loads its module on first use.
+
+    Package inits import only what every user of the package needs, so
+    a process loads just the subsystems it runs (see docs/PERF.md
+    §Start-up).
+    """
+    module_of = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(import_module(module), name)
+
+    return __getattr__
+
 
 __all__ = [
     "CampaignConfig",
@@ -45,3 +61,14 @@ __all__ = [
     "evaluate_grid",
     "__version__",
 ]
+
+__getattr__ = _lazy_exports(__name__, {
+    "repro.api": (
+        "CampaignConfig",
+        "CampaignEvent",
+        "CampaignSession",
+        "EventKind",
+        "GridSpec",
+        "evaluate_grid",
+    ),
+})

@@ -64,7 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from repro import _lazy_exports
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.errors import HarnessError
@@ -80,18 +82,13 @@ from repro.harness.results import CampaignResult
 from repro.harness.runner import PERFORMANCE_RUNS
 from repro.perf.batch import GridCell, GridResult, GridSpec, evaluate_grid
 from repro.telemetry import StructuredLogger, Telemetry
-from repro.telemetry.httpd import ObservatoryServer
 from repro.machine.machine import Machine
 from repro.machine.select import MACHINES as _MACHINES
 from repro.machine.select import resolve_machine as _resolve_machine
 from repro.suites.registry import get_benchmark, get_suite
-from repro.service import (
-    CampaignService,
-    CampaignSpec,
-    ServiceError,
-    spec_from_dict,
-)
-from repro.tuning import TuneResult, TuneSpec, run_tune
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.httpd import ObservatoryServer
 
 __all__ = [
     "CampaignConfig",
@@ -110,6 +107,16 @@ __all__ = [
     "run_tune",
     "spec_from_dict",
 ]
+
+__getattr__ = _lazy_exports(__name__, {
+    "repro.service": (
+        "CampaignService",
+        "CampaignSpec",
+        "ServiceError",
+        "spec_from_dict",
+    ),
+    "repro.tuning": ("TuneResult", "TuneSpec", "run_tune"),
+})
 
 
 @dataclass(frozen=True)

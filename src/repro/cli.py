@@ -49,21 +49,11 @@ import argparse
 import os
 import sys
 
-from repro.analysis import (
-    evaluate,
-    experiments_markdown,
-    figure1,
-    figure1_svg,
-    figure2,
-    figure2_svg,
-)
-from repro.api import CampaignConfig, CampaignSession, EventKind
-from repro.harness import run_polybench_xeon
-from repro.suites import all_suites
-
 
 def _progress_printer(total_hint: int = 0):
     """An event handler that prints coarse progress lines to stderr."""
+    from repro.api import EventKind
+
     state = {"last": -1}
 
     def handler(event) -> None:
@@ -102,6 +92,8 @@ def _parse_shard(text: str) -> "tuple[int, int]":
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.api import CampaignConfig, CampaignSession, EventKind
+
     telemetry_on = bool(args.trace or args.span_log or args.metrics)
     fault_plan = None
     if args.fault_plan:
@@ -401,7 +393,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         to_sarif,
         validate_sarif,
     )
-    from repro.suites import get_benchmark, get_suite
+    from repro.suites import all_suites, get_benchmark, get_suite
 
     benchmarks = []
     if args.benchmark:
@@ -484,7 +476,7 @@ def _cmd_advise_static(args: argparse.Namespace) -> int:
         rank_divergence,
         recommend_benchmark,
     )
-    from repro.suites import get_benchmark, get_suite
+    from repro.suites import all_suites, get_benchmark, get_suite
 
     benchmarks = []
     if args.benchmark:
@@ -515,6 +507,10 @@ def _cmd_advise_static(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from repro.analysis import figure1, figure1_svg
+    from repro.api import CampaignConfig, CampaignSession
+    from repro.harness import run_polybench_xeon
+
     a64 = CampaignSession(CampaignConfig(suites=("polybench",))).run()
     xeon = run_polybench_xeon()
     fig = figure1(a64, xeon)
@@ -527,6 +523,9 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from repro.analysis import figure2, figure2_svg
+    from repro.api import CampaignConfig, CampaignSession
+
     result = CampaignSession(CampaignConfig()).run()
     fig = figure2(result)
     print(fig.render())
@@ -542,6 +541,10 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis import evaluate, experiments_markdown
+    from repro.api import CampaignConfig, CampaignSession
+    from repro.harness import run_polybench_xeon
+
     result = CampaignSession(CampaignConfig()).run()
     xeon = run_polybench_xeon()
     text = experiments_markdown(result, xeon)
@@ -673,6 +676,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.analysis import advice_report, static_advice_report
+    from repro.api import CampaignConfig, CampaignSession
 
     result = CampaignSession(CampaignConfig()).run()
     print(advice_report(result))
@@ -682,6 +686,8 @@ def _cmd_advise(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.suites import all_suites
+
     for suite in all_suites():
         print(f"{suite.display} ({suite.name}): {len(suite)} benchmarks")
         for b in suite.benchmarks:

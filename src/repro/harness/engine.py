@@ -20,7 +20,9 @@ Persistence has three layers, all rooted at ``cache_dir``:
 
 * ``kernels/`` — content-addressed :class:`CompiledKernel` pickles
   (see :func:`repro.perf.cost.compilation_cache_key`), shared by all
-  workers and all later runs;
+  workers and all later runs; reading one back costs about what
+  compiling it does, so this layer saves no time (``docs/ENGINE.md``
+  §Cache layout);
 * ``cells/``   — content-addressed finished-cell records keyed by
   :func:`cell_cache_key`, so re-runs and flag ablations skip unchanged
   cells entirely (zero model re-evaluations on a warm cache);
@@ -56,6 +58,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.caching import ContentStore, IdentityMemo
 from repro.compilers.flags import CompilerFlags
@@ -64,6 +67,7 @@ from repro.errors import HarnessError
 from repro.faults.plan import FaultInjector, FaultPlan, RetryPolicy
 from repro.faults.taxonomy import SITE_CACHE, SITE_WORKER
 from repro.harness.journalstore import (
+    ENGINE_VERSION,
     CampaignJournal,
     DirectoryJournalStore,
     open_journal,
@@ -84,6 +88,7 @@ from repro.harness.runner import (
     CellOutcome,
     run_cell,
 )
+from repro.ir.kernel import Kernel
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
 from repro.perf.cost import (
@@ -95,19 +100,16 @@ from repro.perf.cost import (
 from repro.suites.base import Benchmark, Suite
 from repro.suites.registry import all_suites
 from repro import telemetry
-from repro.telemetry import (
+from repro.telemetry import StructuredLogger, Telemetry, telemetry_block
+from repro.telemetry.history import (
     CampaignHistory,
     HistorySample,
-    ObservatoryServer,
-    StructuredLogger,
-    Telemetry,
     history_file_name,
-    telemetry_block,
+    summarize_histograms,
 )
-from repro.telemetry.history import summarize_histograms
 
-#: Bumped when the engine's journal/cell formats change incompatibly.
-ENGINE_VERSION = 1
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.httpd import ObservatoryServer
 
 #: Lint-gate policies (``CampaignConfig.lint_policy``).
 LINT_OFF = "off"  # no pre-flight analysis (the default)
@@ -218,8 +220,6 @@ def _canonical(obj: object) -> object:
     names, and dataclasses walked field by field.  Kernels delegate to
     :func:`kernel_fingerprint`, the authoritative IR hash.
     """
-    from repro.ir.kernel import Kernel
-
     if isinstance(obj, Kernel):
         return {"__kernel__": kernel_fingerprint(obj)}
     if isinstance(obj, enum.Enum):
@@ -681,6 +681,8 @@ class CampaignEngine:
         shard_label = f"{self.shard[0]}of{self.shard[1]}"
         server = None
         if self.serve is not None:
+            from repro.telemetry.httpd import ObservatoryServer
+
             server = ObservatoryServer(
                 metrics=self._metrics_snapshot,
                 progress=self.progress,

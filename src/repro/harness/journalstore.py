@@ -74,6 +74,9 @@ from repro.harness.results import (
     record_to_dict,
 )
 
+#: Bumped when the engine's journal/cell formats change incompatibly.
+ENGINE_VERSION = 1
+
 #: A cell identity as journals store it: (benchmark full name, variant).
 CellName = tuple[str, str]
 
@@ -200,7 +203,7 @@ class CampaignJournal:
                 return existing
         header = {
             "kind": "header",
-            "engine_version": _engine_version(),
+            "engine_version": ENGINE_VERSION,
             "fingerprint": fingerprint,
             "machine": machine,
             "shard": list(shard),
@@ -282,12 +285,6 @@ class CampaignJournal:
         if header is None:
             return None
         return header, records, finished
-
-
-def _engine_version() -> int:
-    from repro.harness.engine import ENGINE_VERSION
-
-    return ENGINE_VERSION
 
 
 # -- merged view ---------------------------------------------------------
@@ -450,7 +447,7 @@ def merged_result(
     for record in merged.records.values():
         result.add(record)
     result.meta = {
-        "engine_version": _engine_version(),
+        "engine_version": ENGINE_VERSION,
         "cells": len(merged.cells),
         "missing": len(missing),
         "fingerprint": merged.fingerprint,

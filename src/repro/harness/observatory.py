@@ -30,6 +30,7 @@ from repro.harness.results import (
     FAILURE_STATUSES,
     RunRecord,
 )
+from repro.service.registry import ServiceRegistry
 from repro.telemetry.history import (
     HistorySample,
     HistoryStore,
@@ -569,8 +570,6 @@ class ServiceOverview:
 def service_overview(cache_dir: "str | Path") -> "ServiceOverview | None":
     """The service registry under ``cache_dir``, or ``None`` when no
     campaign service ever ran against this cache."""
-    from repro.service.registry import ServiceRegistry
-
     path = Path(cache_dir) / "service" / "campaigns.json"
     if not path.is_file():
         return None

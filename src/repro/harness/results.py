@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.errors import AnalysisError, HarnessError
@@ -117,13 +117,20 @@ class RunRecord:
         return Placement(self.ranks, self.threads)
 
 
+#: :class:`RunRecord`'s fields in declaration order, which is the key
+#: order of its JSON form.
+_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+
+
 def record_to_dict(record: RunRecord, *, compact: bool = True) -> dict:
     """JSON-ready dict for one record.
 
-    With ``compact`` (the v2 on-disk form), empty optional fields are
+    The dict shares the record's tuples (immutable, so no copy is
+    needed); only ``lint`` and ``failure`` are converted.  With
+    ``compact`` (the v2 on-disk form), empty optional fields are
     omitted; :func:`record_from_dict` restores their defaults.
     """
-    raw = asdict(record)
+    raw = {name: getattr(record, name) for name in _RECORD_FIELDS}
     raw["lint"] = [d.to_dict() for d in record.lint]
     raw["failure"] = record.failure.to_dict() if record.failure else None
     if compact:

@@ -26,6 +26,7 @@ from repro.compilers.base import CompiledKernel, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import compile_kernel
 from repro.faults.taxonomy import SITE_KERNEL_CACHE
+from repro.ir.serialize import kernel_to_dict
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
 from repro.perf.ecm import NestTime
@@ -82,8 +83,6 @@ def kernel_fingerprint(kernel: object) -> str:
     the fingerprint survives pickling/process boundaries (unlike
     ``id()``), which makes it usable as a persistent cache key.
     """
-    from repro.ir.serialize import kernel_to_dict
-
     doc = kernel_to_dict(kernel)  # type: ignore[arg-type]
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -177,9 +176,11 @@ class CompilationCache:
     With ``persist_dir`` set, compiled kernels are additionally stored
     on disk under their :func:`compilation_cache_key` — a pickle codec
     over a :class:`~repro.caching.ContentStore` (``kernel_cache.*``
-    counters) — so later runs (and sibling worker processes) skip
-    recompilation of unchanged kernels.  A corrupt entry is dropped,
-    recompiled and rewritten.
+    counters) — and later runs and sibling worker processes read an
+    unchanged kernel back instead of compiling it.  That saves no time:
+    a read-back costs about what the compile it replaces costs, and a
+    write several times more (measured in ``docs/ENGINE.md`` §Cache
+    layout).  A corrupt entry is dropped, recompiled and rewritten.
 
     With an ``injector`` attached (chaos runs), a
     :class:`~repro.faults.plan.FaultRule` aimed at the ``kernel-cache``

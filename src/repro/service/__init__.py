@@ -23,6 +23,7 @@ service the ROADMAP calls for: an asyncio HTTP/JSON front end
 See ``docs/SERVICE.md`` for the full API surface and semantics.
 """
 
+from repro import _lazy_exports
 from repro.service.config import (
     CampaignSpec,
     ServiceError,
@@ -30,8 +31,6 @@ from repro.service.config import (
     spec_to_dict,
 )
 from repro.service.registry import ServiceRegistry
-from repro.service.scheduler import CampaignScheduler, ServiceCampaign
-from repro.service.server import CampaignService
 
 __all__ = [
     "CampaignScheduler",
@@ -43,3 +42,8 @@ __all__ = [
     "spec_from_dict",
     "spec_to_dict",
 ]
+
+__getattr__ = _lazy_exports(__name__, {
+    "repro.service.scheduler": ("CampaignScheduler", "ServiceCampaign"),
+    "repro.service.server": ("CampaignService",),
+})

@@ -34,19 +34,7 @@ Entry points: ``repro lint`` / ``repro advise-static`` on the CLI,
 in CI.  Compilation never runs the analyzer.
 """
 
-from repro.staticanalysis.baseline import (
-    Baseline,
-    BaselineDiff,
-    diff_against_baseline,
-    finding_identity,
-)
-from repro.staticanalysis.dataflow import (
-    InterchangeSummary,
-    KernelFacts,
-    NestFacts,
-    StridePattern,
-    compute_kernel_facts,
-)
+from repro import _lazy_exports
 from repro.staticanalysis.diagnostics import (
     Category,
     Diagnostic,
@@ -57,44 +45,7 @@ from repro.staticanalysis.diagnostics import (
     has_at_least,
     max_severity,
 )
-from repro.staticanalysis.driver import (
-    AnalysisCache,
-    AnalysisContext,
-    analyze_benchmark,
-    analyze_benchmark_cached,
-    analyze_kernel,
-    analyze_kernel_cached,
-)
 from repro.staticanalysis.registry import Rule, all_rules, get_rule, rule, select_rules
-from repro.staticanalysis.sarif import (
-    findings_to_json,
-    render_kernel_ir,
-    render_text,
-    to_sarif,
-    validate_sarif,
-)
-
-#: Names from :mod:`~repro.staticanalysis.divergence`, re-exported
-#: lazily (PEP 562): divergence imports the compiler models, which sit
-#: *above* this package in the module graph (``repro.ir.validate``
-#: imports our diagnostics), so an eager import would be circular.
-_DIVERGENCE_EXPORTS = (
-    "Recommendation",
-    "VariantPrediction",
-    "predict_transforms",
-    "rank_divergence",
-    "recommend_benchmark",
-    "recommend_compiler",
-)
-
-
-def __getattr__(name: str):
-    if name in _DIVERGENCE_EXPORTS:
-        from repro.staticanalysis import divergence
-
-        return getattr(divergence, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AnalysisCache",
@@ -137,3 +88,42 @@ __all__ = [
     "to_sarif",
     "validate_sarif",
 ]
+
+__getattr__ = _lazy_exports(__name__, {
+    "repro.staticanalysis.baseline": (
+        "Baseline",
+        "BaselineDiff",
+        "diff_against_baseline",
+        "finding_identity",
+    ),
+    "repro.staticanalysis.dataflow": (
+        "InterchangeSummary",
+        "KernelFacts",
+        "NestFacts",
+        "StridePattern",
+        "compute_kernel_facts",
+    ),
+    "repro.staticanalysis.divergence": (
+        "Recommendation",
+        "VariantPrediction",
+        "predict_transforms",
+        "rank_divergence",
+        "recommend_benchmark",
+        "recommend_compiler",
+    ),
+    "repro.staticanalysis.driver": (
+        "AnalysisCache",
+        "AnalysisContext",
+        "analyze_benchmark",
+        "analyze_benchmark_cached",
+        "analyze_kernel",
+        "analyze_kernel_cached",
+    ),
+    "repro.staticanalysis.sarif": (
+        "findings_to_json",
+        "render_kernel_ir",
+        "render_text",
+        "to_sarif",
+        "validate_sarif",
+    ),
+})

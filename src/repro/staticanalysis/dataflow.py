@@ -45,6 +45,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.compilers.passes.interchange import stride_cost
 from repro.errors import ReproError
 from repro.ir.analysis import (
     StrideClass,
@@ -65,6 +66,7 @@ from repro.ir.dependence import (
 from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
 from repro.ir.statement import Statement
+from repro.ir.types import AccessKind
 
 N = TypeVar("N", bound=Hashable)
 T = TypeVar("T")
@@ -639,8 +641,6 @@ def _init_facts(
     launder later writes into earlier reads).  The derivation half then
     mirrors the classic read-before-write scan, consulting ``IN[s]``
     where the ad-hoc version kept a running ``written`` set."""
-    from repro.ir.types import AccessKind
-
     nodes = _body_nodes(nest)
     if not nodes:
         return (), (), 0
@@ -701,11 +701,6 @@ def _init_facts(
 def _interchange_summary(
     nest: LoopNest, deps: tuple[Dependence, ...], line_bytes: int
 ) -> InterchangeSummary:
-    # Late import: the stride cost model lives in the compiler layer,
-    # which imports repro.ir, whose package init imports this package
-    # through ir/validate.py.
-    from repro.compilers.passes.interchange import stride_cost
-
     prefix = _movable_prefix(nest)
     movable = nest.loop_vars[prefix:]
     original = nest.loop_vars

@@ -35,9 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.compilers.registry import STUDY_VARIANTS
+from repro.compilers.base import CodegenNestInfo
+from repro.compilers.passes.polyhedral import _TILING_REUSE_THRESHOLD
+from repro.compilers.registry import STUDY_VARIANTS, get_compiler
+from repro.ir.dependence import innermost_vectorization_legality
 from repro.ir.kernel import Feature, Kernel
 from repro.ir.types import Language
+from repro.perf.batch import GridSpec, evaluate_grid
+from repro.perf.ecm import nest_time
 from repro.staticanalysis.dataflow import KernelFacts, NestFacts, StridePattern
 from repro.staticanalysis.diagnostics import Category, Diagnostic, Severity
 from repro.staticanalysis.registry import rule
@@ -108,10 +113,6 @@ class VariantPrediction:
 
 def _variant_model(variant: str):
     """(caps, default flags) of a study variant, by Figure 2 name."""
-    # Late import: the compiler layer imports repro.ir, whose package
-    # init imports this package through ir/validate.py.
-    from repro.compilers.registry import get_compiler
-
     compiler = get_compiler(variant)
     return compiler.caps, compiler.default_flags()
 
@@ -124,8 +125,6 @@ def _permuted_vectorization(nf: NestFacts, order: tuple[str, ...]):
     no re-analysis of a rebuilt nest."""
     if order == nf.loop_vars:
         return nf.vectorization
-    from repro.ir.dependence import innermost_vectorization_legality
-
     perm = [nf.loop_vars.index(v) for v in order]
     pdeps = tuple(
         replace(
@@ -210,8 +209,6 @@ def _predict_nest(
         )
         if candidate != order:
             order, by = candidate, "interchange"
-
-    from repro.compilers.passes.polyhedral import _TILING_REUSE_THRESHOLD
 
     tiled = (
         polly_active and nf.reuse >= _TILING_REUSE_THRESHOLD and nf.nest.depth >= 2
@@ -623,10 +620,6 @@ def _nest_score(nf: NestFacts, np: NestPrediction, caps, flags, language, machin
     idealized prediction, not a reimplementation of ``compile()``.
     Only the cross-variant ordering is consumed.
     """
-    # Late imports: repro.perf sits above the staticanalysis layer.
-    from repro.compilers.base import CodegenNestInfo
-    from repro.perf.ecm import nest_time
-
     nest = (
         nf.nest.permuted(np.order) if np.order != nf.loop_vars else nf.nest
     )
@@ -729,9 +722,6 @@ def grid_best_variants(
 ) -> dict[str, str]:
     """The consistency oracle: per-benchmark fastest variant according
     to the batched cost model (:func:`repro.perf.batch.evaluate_grid`)."""
-    # Late import: repro.perf sits above the staticanalysis layer.
-    from repro.perf.batch import GridSpec, evaluate_grid
-
     grid = evaluate_grid(
         GridSpec(machine=machine, variants=variants, suites=suites, benchmarks=benchmarks)
     )

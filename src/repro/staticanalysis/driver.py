@@ -38,8 +38,11 @@ from repro.caching import ContentStore, IdentityMemo
 from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
+from repro.ir.validate import validate_kernel
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
+from repro.perf.cost import kernel_fingerprint, machine_fingerprint
+from repro.staticanalysis.dataflow import compute_kernel_facts
 from repro.staticanalysis.diagnostics import (
     Diagnostic,
     DiagnosticSink,
@@ -97,11 +100,6 @@ class AnalysisContext:
         key = id(kernel)
         found = self._validated.get(key)
         if found is None:
-            # Late import: repro.ir.validate is the last module of the
-            # ir package init and may not exist yet when this module
-            # loads.
-            from repro.ir.validate import validate_kernel
-
             found = tuple(validate_kernel(kernel))
             self._validated[key] = found
         return found
@@ -113,10 +111,6 @@ class AnalysisContext:
         key = id(kernel)
         found = self._facts.get(key)
         if found is None:
-            # Late import: dataflow reaches into the compiler layer for
-            # the stride cost model.
-            from repro.staticanalysis.dataflow import compute_kernel_facts
-
             found = compute_kernel_facts(
                 kernel, deps=self.deps, line_bytes=self.line_bytes
             )
@@ -200,10 +194,6 @@ class AnalysisCache:
         self.misses = 0
 
     def key(self, kernel: Kernel, machine: Machine) -> str:
-        # Late import: repro.perf imports repro.ir, whose package init
-        # imports this package through ir/validate.py.
-        from repro.perf.cost import kernel_fingerprint, machine_fingerprint
-
         payload = (
             f"lint|a{ANALYSIS_SCHEMA_VERSION}|{kernel_fingerprint(kernel)}"
             f"|{machine_fingerprint(machine)}"

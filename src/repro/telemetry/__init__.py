@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+from repro import _lazy_exports
 from repro.telemetry.export import (
     chrome_trace,
     load_trace,
@@ -38,15 +39,6 @@ from repro.telemetry.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.telemetry.history import (
-    CampaignHistory,
-    HistorySample,
-    HistoryStore,
-    MergedHistory,
-    history_file_name,
-    merge_history,
-)
-from repro.telemetry.httpd import ObservatoryServer
 from repro.telemetry.log import (
     StructuredLogger,
     active_logger,
@@ -54,7 +46,6 @@ from repro.telemetry.log import (
     log_event,
     logging_active,
 )
-from repro.telemetry.promexport import render_prometheus, validate_exposition
 from repro.telemetry.metrics import (
     TIME_BUCKETS_S,
     Counter,
@@ -125,6 +116,19 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+__getattr__ = _lazy_exports(__name__, {
+    "repro.telemetry.history": (
+        "CampaignHistory",
+        "HistorySample",
+        "HistoryStore",
+        "MergedHistory",
+        "history_file_name",
+        "merge_history",
+    ),
+    "repro.telemetry.httpd": ("ObservatoryServer",),
+    "repro.telemetry.promexport": ("render_prometheus", "validate_exposition"),
+})
 
 
 class Telemetry:

@@ -2,6 +2,7 @@
 versioning that supports it."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +14,31 @@ from repro.harness import (
     CampaignResult,
     RunRecord,
 )
-from repro.harness.results import STATUS_OK, record_from_dict, record_to_dict
+from repro.faults.taxonomy import FailureInfo, RetryStep
+from repro.harness.results import (
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    record_from_dict,
+    record_to_dict,
+)
+from repro.staticanalysis.diagnostics import Category, Diagnostic, Severity
+
+
+def _asdict_record(record, *, compact=True):
+    """``record_to_dict`` as it was written with ``dataclasses.asdict``:
+    the reference the field-by-field form must equal."""
+    raw = asdict(record)
+    raw["lint"] = [d.to_dict() for d in record.lint]
+    raw["failure"] = record.failure.to_dict() if record.failure else None
+    if compact:
+        for optional in ("exploration", "diagnostics", "lint"):
+            if not raw[optional]:
+                del raw[optional]
+        if raw["failure"] is None:
+            del raw["failure"]
+        if raw["status"] == STATUS_OK:
+            del raw["status"]
+    return raw
 
 
 class TestCampaignConfig:
@@ -174,6 +199,32 @@ class TestResultSchemaVersioning:
         assert "exploration" not in raw and "diagnostics" not in raw
         assert "status" not in raw  # ok is the default
         assert record_from_dict(raw) == rec
+
+    def test_record_dict_equals_the_asdict_form(self):
+        lint = Diagnostic(
+            rule_id="VEC003", severity=Severity.WARNING,
+            category=Category.PERFORMANCE, message="not vectorized",
+            kernel="k", nest="nest0", statement="S0", array="A", loop="i",
+            hint="interchange",
+        )
+        failure = FailureInfo(
+            kind="TimeoutFault", site="run", message="budget", transient=True,
+            injected=True, attempts=2, retries=1,
+            history=(RetryStep(0, "TimeoutFault", "run", "first", True, True, 0.05),),
+        )
+        full = RunRecord(
+            "s.b", "s", "GNU", 4, 12, (1.5, 1.25), status=STATUS_TIMEOUT,
+            exploration=((4, 12, 1.25), (1, 48, 2.0)), diagnostics=("slow",),
+            lint=(lint,), failure=failure,
+        )
+        for rec in (full, RunRecord("s.b", "s", "GNU", 1, 1, (1.0,))):
+            for compact in (True, False):
+                raw = record_to_dict(rec, compact=compact)
+                reference = _asdict_record(rec, compact=compact)
+                assert raw == reference
+                assert list(raw) == list(reference)
+                assert json.dumps(raw) == json.dumps(reference)
+                assert record_from_dict(raw) == rec
 
     def test_record_missing_runs_is_clear_error(self):
         with pytest.raises(HarnessError, match="missing 'runs'"):

@@ -20,7 +20,7 @@ from repro.harness.engine import (
     benchmark_fingerprint,
     cell_cache_key,
 )
-from repro.harness.results import CampaignResult, RunRecord
+from repro.harness.results import CampaignResult, RunRecord, record_to_dict
 from repro.telemetry import SPAN_CELL, Telemetry
 from repro.ir import KernelBuilder, Language, read, update
 from repro.perf.cost import (
@@ -366,6 +366,48 @@ class TestParallelEquivalence:
             a64fx_machine, variants=("GNU", "LLVM"), benchmarks=benches, workers=1
         ).run()
         assert parallel.records == serial.records
+
+
+class TestParallelStartMethods:
+    """``workers=2`` under the start methods that do not fork.
+
+    Such a worker imports only what unpickling ``_run_chunk`` pulls in,
+    so an import that the worker path misses shows only here.
+    """
+
+    SUITES = ("micro", "polybench")
+    VARIANTS = ("GNU", "FJtrad")
+    PROBE = (
+        "import json, multiprocessing, sys\n"
+        "from repro.harness.engine import CampaignEngine\n"
+        "from repro.harness.results import record_to_dict\n"
+        "from repro.suites import get_suite\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method(sys.argv[1])\n"
+        "    benches = [b for s in sys.argv[2].split(',') for b in get_suite(s).benchmarks]\n"
+        "    result = CampaignEngine(benchmarks=benches, variants=tuple(sys.argv[3].split(',')),\n"
+        "                            workers=2).run()\n"
+        "    print(json.dumps({'worker_restarts': result.meta['worker_restarts'],\n"
+        "                      'records': [record_to_dict(r) for r in result.records.values()]}))\n"
+    )
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_records_equal_the_serial_run(self, method, a64fx_machine):
+        benches = [b for s in self.SUITES for b in get_suite(s).benchmarks]
+        serial = CampaignEngine(
+            a64fx_machine, benchmarks=benches, variants=self.VARIANTS, workers=1
+        ).run()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, method, ",".join(self.SUITES),
+             ",".join(self.VARIANTS)],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        assert doc["worker_restarts"] == 0
+        expected = [record_to_dict(r) for r in serial.records.values()]
+        assert len(expected) == 104
+        assert doc["records"] == json.loads(json.dumps(expected))
 
 
 class TestEventFormatting:
