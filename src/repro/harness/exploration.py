@@ -126,7 +126,7 @@ def explore(
 
     The whole candidate sweep is costed in one call to
     :func:`repro.perf.batch.evaluate_placements` (kernels compile once,
-    features extract once, the per-placement arithmetic is batched).
+    features extract once, then a float loop costs each placement).
     """
     cache = cache if cache is not None else CompilationCache()
     candidates = placement_candidates(bench, machine)

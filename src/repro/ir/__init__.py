@@ -14,42 +14,7 @@ Public surface::
     )
 """
 
-from repro.ir.analysis import (
-    AccessPattern,
-    StrideClass,
-    classify_access,
-    contiguous_fraction,
-    is_scop,
-    nest_access_patterns,
-    reuse_potential,
-    working_set_bytes,
-    working_set_profile,
-)
-from repro.ir.array import Access, Array, footprint_bytes
-from repro.ir.builder import AccessSpec, KernelBuilder, read, update, write
-from repro.ir.dependence import (
-    Dependence,
-    DepKind,
-    Direction,
-    VectorizationLegality,
-    carried_dependences,
-    innermost_vectorization_legality,
-    nest_dependences,
-    permutation_legal,
-)
-from repro.ir.expr import AffineExpr
-from repro.ir.kernel import Feature, Kernel
-from repro.ir.loop import Loop, LoopNest
-from repro.ir.serialize import (
-    kernel_from_dict,
-    kernel_from_json,
-    kernel_to_dict,
-    kernel_to_json,
-)
-from repro.ir.statement import OpCount, Statement
-from repro.ir.transforms import interchange, strip_mine, tile
-from repro.ir.types import AccessKind, DType, Language, Layout
-from repro.ir.validate import check_kernel, validate_kernel, validate_nest
+from repro import _lazy_exports
 
 __all__ = [
     "Access",
@@ -99,3 +64,42 @@ __all__ = [
     "working_set_profile",
     "write",
 ]
+
+__getattr__ = _lazy_exports(__name__, {
+    "repro.ir.analysis": (
+        "AccessPattern",
+        "StrideClass",
+        "classify_access",
+        "contiguous_fraction",
+        "is_scop",
+        "nest_access_patterns",
+        "reuse_potential",
+        "working_set_bytes",
+        "working_set_profile",
+    ),
+    "repro.ir.array": ("Access", "Array", "footprint_bytes"),
+    "repro.ir.builder": ("AccessSpec", "KernelBuilder", "read", "update", "write"),
+    "repro.ir.dependence": (
+        "Dependence",
+        "DepKind",
+        "Direction",
+        "VectorizationLegality",
+        "carried_dependences",
+        "innermost_vectorization_legality",
+        "nest_dependences",
+        "permutation_legal",
+    ),
+    "repro.ir.expr": ("AffineExpr",),
+    "repro.ir.kernel": ("Feature", "Kernel"),
+    "repro.ir.loop": ("Loop", "LoopNest"),
+    "repro.ir.serialize": (
+        "kernel_from_dict",
+        "kernel_from_json",
+        "kernel_to_dict",
+        "kernel_to_json",
+    ),
+    "repro.ir.statement": ("OpCount", "Statement"),
+    "repro.ir.transforms": ("interchange", "strip_mine", "tile"),
+    "repro.ir.types": ("AccessKind", "DType", "Language", "Layout"),
+    "repro.ir.validate": ("check_kernel", "validate_kernel", "validate_nest"),
+})

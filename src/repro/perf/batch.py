@@ -9,20 +9,18 @@ only.  The evaluation therefore splits in two:
   compiled nest and machine by :func:`nest_features`): in-core cycles
   per iteration, the latency-bound memory rate, and the nest's traffic
   table;
-* **placements** (:func:`evaluate_placements`): the ECM times through
-  :meth:`NestFeatures.times` and the benchmark assembly — placement
-  checks, rank geometry, OpenMP overhead, library calls, the 2 µs
-  floor and MPI time — across all placements of a cell at once, as
-  numpy elementwise array ops when the placement axis is wide (a
-  single placement runs the same IEEE-754 operations on plain floats).
+* **placements** (:func:`evaluate_placements`): once per cell, the
+  placement checks, the unit compiles and the feature lookups; then,
+  per placement, the ECM times through :meth:`NestFeatures.times` and
+  the benchmark assembly — rank geometry, OpenMP overhead, library
+  calls, the 2 µs floor and MPI time — on plain floats.  A cell has 1
+  to 29 placements (8.4 on average on A64FX), too few for array
+  arithmetic to pay for its import.
 
 This is the one implementation of the benchmark model:
 :func:`repro.perf.cost.benchmark_model` is a one-placement call into
-:func:`evaluate_placements`.  Sums stay sequential and transcendentals
-stay in :mod:`math`, so element ``i`` of a wide call equals the
-one-placement call on ``placements[i]`` bit for bit;
-``tests/perf/test_model_golden.py`` pins the outputs on every registry
-machine.
+:func:`evaluate_placements`; ``tests/perf/test_model_golden.py`` pins
+the outputs on every registry machine.
 
 In front of the evaluator sits the grid API — :class:`GridSpec` /
 :func:`evaluate_grid` — re-exported from :mod:`repro.api` as the
@@ -32,8 +30,6 @@ single entry point for model-space sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from repro.caching import IdentityMemo
 from repro.compilers.base import CodegenNestInfo, CompileStatus
@@ -49,7 +45,7 @@ from repro.perf.cost import (
     UnitBreakdown,
     machine_memo_key,
 )
-from repro.perf.ecm import NestFeatures, NestTime
+from repro.perf.ecm import NestFeatures
 from repro.perf.scaling import numa_spill_penalty, omp_region_overhead_s
 from repro.suites.base import Benchmark, ParallelKind, ScalingKind
 
@@ -87,22 +83,6 @@ def nest_features(
 # -- evaluation -------------------------------------------------------------
 
 
-def _rank_geometry(bench: Benchmark, machine: Machine, placement: Placement) -> tuple[int, int, float]:
-    """(threads per rank, domains per rank, bandwidth share per rank)."""
-    topo = machine.topology
-    placement.validate(topo)
-    threads = placement.threads
-    if bench.max_useful_threads is not None:
-        threads = min(threads, bench.max_useful_threads)
-    domains_used = placement.domains_used(topo)
-    # A rank spans ceil(threads / cores_per_domain) domains.
-    rank_domains = min(topo.numa_domains, -(-placement.threads // topo.cores_per_domain))
-    # Ranks sharing a domain split its bandwidth.
-    ranks_per_domain = placement.ranks * rank_domains / domains_used
-    share = 1.0 / ranks_per_domain
-    return threads, rank_domains, share
-
-
 def evaluate_placements(
     bench: Benchmark,
     variant: str,
@@ -112,13 +92,12 @@ def evaluate_placements(
     flags: CompilerFlags | None = None,
     cache: CompilationCache | None = None,
 ) -> tuple[ModelResult, ...]:
-    """Cost one (benchmark, variant) cell under many placements at once.
+    """Cost one (benchmark, variant) cell under each of ``placements``.
 
     Returns one :class:`~repro.perf.cost.ModelResult` per placement:
     the ideal (noise-free) region-of-interest time and its breakdown.
-    Kernels compile once (not once per placement), nest features
-    extract once, and the remaining per-placement arithmetic runs as
-    numpy elementwise operations over the placement axis.
+    Kernels compile and nest features load once per cell (not once
+    per placement); the per-placement arithmetic runs on floats.
 
     Raises :class:`~repro.errors.HarnessError` on the first placement
     (in order) the benchmark's constraints reject.
@@ -133,55 +112,12 @@ def evaluate_placements(
             raise HarnessError(f"{bench.full_name} has no MPI; placement {placement} invalid")
         if bench.pow2_ranks and placement.ranks & (placement.ranks - 1):
             raise HarnessError(f"{bench.full_name} requires power-of-two ranks")
-
-    cache = cache if cache is not None else CompilationCache()
-    topo = machine.topology
-    n = len(placements)
-    batched = n > 1
-    if batched:
-        lift = lambda values: np.asarray(values, dtype=float)  # noqa: E731
-        minimum = np.minimum
-        maximum = np.maximum.reduce
-        at = lambda x, p: float(x[p]) if isinstance(x, np.ndarray) else x  # noqa: E731
-        zero = lambda: np.zeros(n)  # noqa: E731
-    else:
-        lift = lambda values: values[0]  # noqa: E731
-        minimum = min
-        maximum = max
-        at = lambda x, p: x  # noqa: E731
-        zero = lambda: 0.0  # noqa: E731
-
-    # Per-placement geometry.
-    threads_list: list[int] = []
-    rank_domains_list: list[int] = []
-    bw_share_list: list[float] = []
-    wf_list: list[float] = []
-    acpd_list: list[int] = []
-    spill_list: list[float] = []
     for placement in placements:
-        threads, rank_domains, bw_share = _rank_geometry(bench, machine, placement)
-        work_fraction = (
-            1.0 / placement.ranks
-            if bench.parallel.uses_mpi and bench.scaling is ScalingKind.STRONG
-            else 1.0
-        )
-        # Memory saturation is driven by ALL cores active on a domain
-        # (ranks co-located on a CMG saturate it together; the rank's
-        # bandwidth share then splits it).
-        domains_used = placement.domains_used(topo)
-        acpd = max(1, min(
-            topo.cores_per_domain,
-            -(-placement.total_cores_used // domains_used),
-        ))
-        threads_list.append(threads)
-        rank_domains_list.append(rank_domains)
-        bw_share_list.append(bw_share)
-        wf_list.append(work_fraction)
-        acpd_list.append(acpd)
-        spill_list.append(numa_spill_penalty(placement, topo))
+        placement.validate(machine.topology)
 
     # Compile each unit's kernel once; diagnostics accumulate in unit
     # order up to the first failed build.
+    cache = cache if cache is not None else CompilationCache()
     diagnostics: list[str] = []
     compiled_units = []
     for unit in bench.units:
@@ -205,143 +141,133 @@ def evaluate_placements(
         compiled_units.append((unit, compiled))
 
     machine_key = machine_memo_key(machine)
-    n_bounds = len(machine.cache_levels)
-    wf = lift(wf_list)
+    units = tuple(
+        (unit, compiled, tuple(
+            (info, nest_features(info, machine, machine_key))
+            for info in (compiled.nest_infos if compiled is not None else ())
+        ))
+        for unit, compiled in compiled_units
+    )
+    diag = tuple(diagnostics)
+    return tuple(
+        _placement_model(bench, variant, machine, placement, units, diag)
+        for placement in placements
+    )
 
+
+def _placement_model(
+    bench: Benchmark,
+    variant: str,
+    machine: Machine,
+    placement: Placement,
+    units: tuple,
+    diagnostics: tuple[str, ...],
+) -> ModelResult:
+    """One placement's :class:`~repro.perf.cost.ModelResult` from its
+    cell's compiled units and their ``(info, features)`` nests."""
+    topo = machine.topology
+    # Rank geometry: a rank spans ceil(threads / cores_per_domain)
+    # domains, and ranks sharing a domain split its bandwidth.
+    threads = placement.threads
+    if bench.max_useful_threads is not None:
+        threads = min(threads, bench.max_useful_threads)
+    domains_used = placement.domains_used(topo)
+    rank_domains = min(topo.numa_domains, -(-placement.threads // topo.cores_per_domain))
+    bw_share = 1.0 / (placement.ranks * rank_domains / domains_used)
+    work_fraction = (
+        1.0 / placement.ranks
+        if bench.parallel.uses_mpi and bench.scaling is ScalingKind.STRONG
+        else 1.0
+    )
+    # Memory saturation is driven by ALL cores active on a domain
+    # (ranks co-located on a CMG saturate it together; the rank's
+    # bandwidth share then splits it).
+    acpd = max(1, min(
+        topo.cores_per_domain,
+        -(-placement.total_cores_used // domains_used),
+    ))
     # Parallel nests run on the rank's threads and domains; serial nests
     # on one core, with the rank's bandwidth share.
-    bw_share = lift(bw_share_list)
-    bw_by_acpd = {a: machine.memory.bandwidth(a) for a in set(acpd_list)}
-    par_threads = lift([float(max(1, t)) for t in threads_list])
-    par_bandwidth = (
-        lift([bw_by_acpd[a] for a in acpd_list])
-        * lift([float(d) for d in rank_domains_list])
-        * bw_share
-    )
-    par_numa = lift(spill_list)
+    par_threads = float(max(1, threads))
+    par_bandwidth = machine.memory.bandwidth(acpd) * float(rank_domains) * bw_share
+    par_numa = numa_spill_penalty(placement, topo)
     serial_bandwidth = machine.memory.bandwidth(1) * bw_share
 
-    total = zero()
-    compute_total = zero()
-    memory_total = zero()
-    unit_rows = []
-
-    for unit, compiled in compiled_units:
-        kernel = zero()
-        library = zero()
-        omp = zero()
-        nest_rows = []
+    total = 0.0
+    compute_total = 0.0
+    memory_total = 0.0
+    breakdown = []
+    for unit, compiled, nests in units:
+        kernel = 0.0
+        library = 0.0
+        omp = 0.0
+        nest_times = []
+        for info, features in nests:
+            # An eliminated nest costs nothing, on the one-core report.
+            if info.parallel and not features.eliminated:
+                nest = features.times(
+                    work_fraction, par_threads, features.traffic_for(acpd),
+                    par_bandwidth, par_numa)
+            else:
+                nest = features.times(
+                    work_fraction, 1.0, features.traffic_for(1), serial_bandwidth, 1.0)
+            kernel = kernel + nest.total_s
+            compute_total = compute_total + nest.compute_s * unit.invocations
+            memory_total = memory_total + nest.memory_s * unit.invocations
+            nest_times.append(nest)
+            # An eliminated parallel nest still forks its region.
+            if info.parallel and threads > 1:
+                omp = omp + omp_region_overhead_s(
+                    info.omp_fork_us,
+                    info.omp_barrier_us,
+                    threads,
+                    bench.barriers_per_invocation,
+                ) / max(info.omp_scaling_quality, 1e-9)
         if compiled is not None:
-            for info in compiled.nest_infos:
-                features = nest_features(info, machine, machine_key)
-                if features.eliminated:
-                    reports = [features.traffic_for(1)] * n
-                    nest_rows.append((zero(), [zero()] * n_bounds, zero(), reports))
-                else:
-                    if info.parallel:
-                        reports = [features.traffic_for(a) for a in acpd_list]
-                        threads, bandwidth, numa = par_threads, par_bandwidth, par_numa
-                    else:
-                        reports = [features.traffic_for(1)] * n
-                        threads, bandwidth, numa = 1.0, serial_bandwidth, 1.0
-                    volumes = [
-                        lift([r.boundaries[b].total_bytes for r in reports])
-                        for b in range(n_bounds)
-                    ]
-                    exposed = lift([r.boundaries[-1].latency_exposed_fraction for r in reports])
-                    cs, transfers, nest_total = features.times(
-                        wf, threads, volumes, exposed, bandwidth, numa, minimum, maximum)
-                    kernel = kernel + nest_total
-                    compute_total = compute_total + cs * unit.invocations
-                    memory_total = memory_total + transfers[-1] * unit.invocations
-                    nest_rows.append((cs, transfers, nest_total, reports))
-                # An eliminated parallel nest still forks its region.
-                if info.parallel:
-                    scaling_q = max(info.omp_scaling_quality, 1e-9)
-                    omp = omp + lift([
-                        omp_region_overhead_s(
-                            info.omp_fork_us,
-                            info.omp_barrier_us,
-                            threads_list[p],
-                            bench.barriers_per_invocation,
-                        ) / scaling_q if threads_list[p] > 1 else 0.0
-                        for p in range(n)
-                    ])
             kernel = kernel * compiled.anomaly_multiplier
         if unit.library is not None:
-            library = lift([
-                library_time_s(
-                    unit.library,
-                    machine,
-                    threads=placements[p].threads,
-                    domains=rank_domains_list[p],
-                    work_fraction=wf_list[p],
-                )
-                for p in range(n)
-            ])
-        unit_total = (kernel + library + omp) * unit.invocations
-        total = total + unit_total
-        unit_rows.append((
-            unit.kernel.name if unit.kernel else "<library>",
-            kernel, library, omp, nest_rows, unit.invocations,
-        ))
+            library = library_time_s(
+                unit.library,
+                machine,
+                threads=placement.threads,
+                domains=rank_domains,
+                work_fraction=work_fraction,
+            )
+        total = total + (kernel + library + omp) * unit.invocations
+        breakdown.append(
+            UnitBreakdown(
+                kernel_name=unit.kernel.name if unit.kernel else "<library>",
+                kernel_s=kernel * unit.invocations,
+                library_s=library * unit.invocations,
+                omp_overhead_s=omp * unit.invocations,
+                nest_times=tuple(nest_times),
+            )
+        )
 
     # A fully dead-code-eliminated ROI still measures the timer call and
     # loop shell; the paper's mvt cell is ">250,000x", not infinity.
-    total = np.maximum(total, 2e-6) if batched else max(total, 2e-6)
-
-    totals = [at(total, p) for p in range(n)]
-    comm = [0.0] * n
-    if bench.parallel.uses_mpi:
-        for p, placement in enumerate(placements):
-            if placement.ranks > 1:
-                # The communication fraction is quoted against the
-                # full-node work time; normalize this placement's
-                # per-rank work time to node core-seconds so the
-                # reference does not depend on the thread count.
-                t_node_work = totals[p] * placement.total_cores_used / machine.total_cores
-                comm[p] = bench.mpi.comm_time_s(t_node_work, placement.ranks)
-                totals[p] += comm[p]
-
-    diag = tuple(diagnostics)
-    results = []
-    for p, placement in enumerate(placements):
-        units = []
-        for name, kernel, library, omp, nest_rows, invocations in unit_rows:
-            nest_times = tuple(
-                NestTime(
-                    compute_s=at(cs, p),
-                    transfer_s=tuple(at(t, p) for t in transfers),
-                    memory_s=at(transfers[-1], p),
-                    total_s=at(nest_total, p),
-                    traffic=reports[p],
-                )
-                for cs, transfers, nest_total, reports in nest_rows
-            )
-            units.append(
-                UnitBreakdown(
-                    kernel_name=name,
-                    kernel_s=at(kernel, p) * invocations,
-                    library_s=at(library, p) * invocations,
-                    omp_overhead_s=at(omp, p) * invocations,
-                    nest_times=nest_times,
-                )
-            )
-        results.append(
-            ModelResult(
-                benchmark=bench.full_name,
-                variant=variant,
-                placement=placement,
-                status=CompileStatus.OK,
-                time_s=totals[p],
-                compute_s=at(compute_total, p),
-                memory_s=at(memory_total, p),
-                comm_s=comm[p],
-                units=tuple(units),
-                diagnostics=diag,
-            )
-        )
-    return tuple(results)
+    total = max(total, 2e-6)
+    comm = 0.0
+    if bench.parallel.uses_mpi and placement.ranks > 1:
+        # The communication fraction is quoted against the full-node
+        # work time; normalize this placement's per-rank work time to
+        # node core-seconds so the reference does not depend on the
+        # thread count.
+        t_node_work = total * placement.total_cores_used / machine.total_cores
+        comm = bench.mpi.comm_time_s(t_node_work, placement.ranks)
+        total += comm
+    return ModelResult(
+        benchmark=bench.full_name,
+        variant=variant,
+        placement=placement,
+        status=CompileStatus.OK,
+        time_s=total,
+        compute_s=compute_total,
+        memory_s=memory_total,
+        comm_s=comm,
+        units=tuple(breakdown),
+        diagnostics=diagnostics,
+    )
 
 
 # -- the grid API ---------------------------------------------------------

@@ -16,9 +16,9 @@ The nest time is the ECM-style max of the compute and transfer times
 (modern cores overlap them), inflated by runtime-check overhead.
 
 :class:`NestFeatures` holds the placement-independent half of a nest's
-time and :meth:`NestFeatures.times` the placement-dependent half, on
-floats for one placement or numpy arrays for many.  :func:`nest_time`
-and the batched evaluator (:mod:`repro.perf.batch`) both go through it.
+time and :meth:`NestFeatures.times` the placement-dependent half, for
+one placement.  :func:`nest_time` and the placement evaluator
+(:mod:`repro.perf.batch`) both go through it.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class NestFeatures:
 
     In-core cycles per iteration, the latency-bound memory rate per
     core, and the nest's :class:`~repro.perf.traffic.TrafficTable`.
-    :meth:`times` adds one placement's (or many placements') thread
-    count, bandwidth and traffic volumes.
+    :meth:`times` adds one placement's thread count, bandwidth and
+    traffic report.
     """
 
     __slots__ = (
@@ -175,35 +175,41 @@ class NestFeatures:
         """The nest's traffic report for one active-core count (memoized)."""
         return self.table.report(active_cores_per_domain)
 
-    def times(self, work_fraction, threads, volumes, exposed, bandwidth,
-              numa_penalty, minimum=min, maximum=max):
-        """``(compute, transfers, total)`` seconds of one nest execution.
+    def times(
+        self,
+        work_fraction: float,
+        threads: float,
+        traffic: TrafficReport,
+        bandwidth: float,
+        numa_penalty: float,
+    ) -> NestTime:
+        """One execution of the nest under one placement.
 
-        ``volumes`` are the whole nest's bytes per boundary, L1<->L2
-        first and memory last; ``exposed`` is the memory boundary's
-        latency-exposed fraction; ``bandwidth`` is the memory bandwidth
-        this rank's threads get, before the compiler's memory-schedule
-        quality.  Every argument is a float for one placement, or a
-        numpy array over many with ``minimum=np.minimum`` and
-        ``maximum=np.maximum.reduce``: the same IEEE-754 operations
-        either way.
+        ``traffic`` is the nest's report for the placement's active
+        cores per domain (:meth:`traffic_for`); ``bandwidth`` is the
+        memory bandwidth this rank's threads get, before the compiler's
+        memory-schedule quality.
         """
+        if self.eliminated:
+            zeros = (0.0,) * len(traffic.boundaries)
+            return NestTime(0.0, zeros, 0.0, 0.0, traffic)
         machine = self.machine
         frequency = machine.core.frequency_hz
         compute = self.iterations * work_fraction * self.cpi / frequency / threads
         transfers = []
-        *caches, memory = volumes
-        for level, total in zip(machine.cache_levels[1:], caches):
+        *caches, memory = traffic.boundaries
+        for level, boundary in zip(machine.cache_levels[1:], caches):
             per_core = level.bytes_per_cycle_per_core * frequency
-            transfers.append(total * work_fraction / (per_core * threads))
-        volume = memory * work_fraction
+            transfers.append(boundary.total_bytes * work_fraction / (per_core * threads))
+        volume = memory.total_bytes * work_fraction
+        exposed = memory.latency_exposed_fraction
         bw = bandwidth * self.info.memory_schedule_quality
         t = volume * (1.0 - exposed) / bw
-        t = t + volume * exposed / minimum(self.irr_rate_per_core * threads, bw)
+        t = t + volume * exposed / min(self.irr_rate_per_core * threads, bw)
         # A rank straddling NUMA domains slows its whole memory path.
         transfers.append(t * numa_penalty)
-        total = maximum([compute] + transfers) * self.one_plus_rco
-        return compute, transfers, total
+        total = max(compute, *transfers) * self.one_plus_rco
+        return NestTime(compute, tuple(transfers), transfers[-1], total, traffic)
 
 
 def nest_time(
@@ -234,24 +240,12 @@ def nest_time(
     if active_cores_per_domain is None:
         active_cores_per_domain = max(1, threads // max(domains, 1))
     # Not memoized: static advice builds a fresh info per call, and its
-    # entries would evict the campaign's from the batched feature memo.
+    # entries would evict the campaign's from the feature memo.
     features = NestFeatures(info, machine)
-    traffic = features.traffic_for(active_cores_per_domain)
-    if features.eliminated:
-        zeros = (0.0,) * len(traffic.boundaries)
-        return NestTime(0.0, zeros, 0.0, 0.0, traffic)
-    compute_s, transfer, total = features.times(
+    return features.times(
         work_fraction,
         threads,
-        [boundary.total_bytes for boundary in traffic.boundaries],
-        traffic.boundaries[-1].latency_exposed_fraction,
+        features.traffic_for(active_cores_per_domain),
         machine.memory.bandwidth(active_cores_per_domain) * domains * bandwidth_share,
         numa_penalty,
-    )
-    return NestTime(
-        compute_s=compute_s,
-        transfer_s=tuple(transfer),
-        memory_s=transfer[-1],
-        total_s=total,
-        traffic=traffic,
     )

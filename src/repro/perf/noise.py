@@ -15,17 +15,18 @@ import hashlib
 import math
 
 
-def _unit_uniform(*key_parts: object) -> float:
-    """Deterministic U(0,1) from a hashable identity tuple."""
-    digest = hashlib.sha256("|".join(str(p) for p in key_parts).encode()).digest()
+def _unit_uniform(key: str) -> float:
+    """Deterministic U(0,1) from an identity string."""
+    digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 def _unit_normal(*key_parts: object) -> float:
-    """Deterministic standard normal via Box-Muller."""
-    u1 = _unit_uniform(*key_parts, "u1")
-    u2 = _unit_uniform(*key_parts, "u2")
-    u1 = max(u1, 1e-12)
+    """Deterministic standard normal via Box-Muller, its two uniforms
+    keyed ``"part|...|part|u1"`` and ``"...|u2"``."""
+    prefix = "|".join([*map(str, key_parts), ""])
+    u1 = max(_unit_uniform(prefix + "u1"), 1e-12)
+    u2 = _unit_uniform(prefix + "u2")
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 

@@ -16,7 +16,9 @@ These serve three purposes:
 
 All functions take small ``n`` and plain ``numpy`` arrays; they are
 *not* performance code (the whole point of the study is what compilers
-do to the naive loops).
+do to the naive loops).  numpy is not a dependency of the package:
+this module needs the ``test`` extra (``pip install -e ".[test]"``),
+and only ``tests/suites/test_polybench_reference.py`` imports it.
 """
 
 from __future__ import annotations

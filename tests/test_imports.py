@@ -90,8 +90,35 @@ def test_journal_and_doctor_load_no_numpy(command, tmp_path):
     assert "numpy" not in modules
 
 
+#: A campaign and a placement search: the cost model's two callers.
+MODEL_COMMANDS = [
+    ("run", "--suite", "micro", "--variant", "GNU"),
+    ("tune", "--scenario", "placement:ecp.candle:GNU"),
+]
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS, ids=["run", "tune"])
+def test_campaign_and_search_load_no_numpy(command):
+    modules = _loaded(_cli(*command))
+    assert "repro.perf.batch" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS, ids=["run", "tune"])
+def test_campaign_and_search_run_without_numpy(command):
+    # ``None`` in sys.modules makes ``import numpy`` raise, as in an
+    # environment without it; ``_loaded`` fails on a nonzero exit.
+    _loaded("import sys\nsys.modules['numpy'] = None\n" + _cli(*command))
+
+
+def test_journal_status_loads_no_dependence_analysis(tmp_path):
+    modules = _loaded(_cli("journal", "status", "--cache-dir", _journal_dir(tmp_path)))
+    assert "repro.ir.types" in modules
+    assert "repro.ir.dependence" not in modules
+
+
 def test_ir_loads_no_telemetry():
-    modules = _loaded("import repro.ir")
+    modules = _loaded("from repro.ir import *")
     assert "repro.ir.validate" in modules
     assert _under(modules, "repro.telemetry") == []
 
@@ -126,6 +153,7 @@ CONSTANT_HOMES = {
     "repro.harness",
     "repro.telemetry",
     "repro.staticanalysis",
+    "repro.ir",
 ])
 def test_every_public_name_resolves_to_its_definition(package):
     module = importlib.import_module(package)
