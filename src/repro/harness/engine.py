@@ -53,8 +53,9 @@ import json
 import math
 import os
 import time
+import weakref
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,8 +143,9 @@ class EventKind(enum.Enum):
     #: The cell's final status is ``timeout`` (wall-clock budget blown,
     #: or an injected :class:`~repro.faults.taxonomy.TimeoutFault`).
     CELL_TIMED_OUT = "cell-timed-out"
-    #: A worker process died; its in-flight cells were requeued (or,
-    #: past the restart budget, fell back to in-process execution).
+    #: A worker process died; its in-flight cells were resubmitted at
+    #: the next attempt (or, once the :class:`WorkerPool` is exhausted,
+    #: run in-process).
     WORKER_LOST = "worker-lost"
     CAMPAIGN_FINISHED = "campaign-finished"
 
@@ -445,6 +447,59 @@ def _run_chunk(
     )
 
 
+#: Broken pools a :class:`WorkerPool` replaces before it is exhausted.
+MAX_WORKER_RESTARTS = 3
+
+
+class WorkerPool:
+    """The engine's and the service's process pool, started by the first
+    :meth:`submit`, and their one crash policy: report a chunk a dead
+    worker lost to :meth:`lost`, then submit it at ``attempt + 1``; a
+    ``None`` back (no workers, or :attr:`exhausted`) means run it in-process."""
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        #: Pools replaced because a dead worker broke them.
+        self.restarts = 0
+        self._pool: "ProcessPoolExecutor | None" = None
+        #: The current pool's futures: a loss replaces their pool once.
+        self._futures: "weakref.WeakSet[Future]" = weakref.WeakSet()
+
+    @property
+    def started(self) -> bool:
+        return self._pool is not None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.restarts > MAX_WORKER_RESTARTS
+
+    def submit(self, chunk: CellChunk) -> "Future | None":
+        if not self.workers or self.exhausted:
+            return None
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        try:
+            future = self._pool.submit(_run_chunk, chunk)
+        except BrokenProcessPool:  # a worker died since the last submit
+            self.lost()
+            return self.submit(chunk)
+        self._futures.add(future)
+        return future
+
+    def lost(self, future: "Future | None" = None) -> None:
+        """Replace the pool ``future`` ran on, unless already replaced."""
+        if future is None or future in self._futures:
+            self.restarts += 1
+            # Not cancelled: a pool left after an OSError may be healthy.
+            self._pool.shutdown(wait=False)
+            self._pool, self._futures = None, weakref.WeakSet()
+
+    def shutdown(self, *, wait: bool = True) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=wait, cancel_futures=not wait)
+            self._pool, self._futures = None, weakref.WeakSet()
+
+
 # -- the engine ----------------------------------------------------------
 
 
@@ -500,10 +555,6 @@ class CampaignEngine:
     ``retry_backoff_s``
         Base of the exponential backoff between retries (seeded
         jitter on top); 0 retries immediately.
-    ``max_worker_restarts``
-        How many times the parallel path rebuilds a broken process
-        pool (worker crash / node loss) before degrading to in-process
-        execution of the remaining cells.
     ``shard``
         ``(index, count)``, 1-based: run only this shard of the
         campaign's cells (deterministic benchmark-major assignment, see
@@ -537,7 +588,6 @@ class CampaignEngine:
         max_retries: int = 1,
         cell_timeout_s: "float | None" = None,
         retry_backoff_s: float = 0.05,
-        max_worker_restarts: int = 3,
         shard: "tuple[int, int] | None" = None,
         serve: "int | None" = None,
         logger: "StructuredLogger | None" = None,
@@ -550,8 +600,6 @@ class CampaignEngine:
             )
         if cell_timeout_s is not None and cell_timeout_s <= 0:
             raise HarnessError(f"cell_timeout_s must be > 0, got {cell_timeout_s}")
-        if max_worker_restarts < 0:
-            raise HarnessError("max_worker_restarts must be >= 0")
         self.machine = machine if machine is not None else a64fx()
         self.variants = tuple(variants)
         if benchmarks is None:
@@ -567,7 +615,6 @@ class CampaignEngine:
         self.lint_policy = lint_policy
         self.fault_plan = fault_plan
         self.cell_timeout_s = cell_timeout_s
-        self.max_worker_restarts = max_worker_restarts
         self.shard = validate_shard(shard)
         if serve is not None and not 0 <= serve <= 65535:
             raise HarnessError(f"serve must be a port in [0, 65535], got {serve}")
@@ -1141,71 +1188,50 @@ class CampaignEngine:
 
     def _run_parallel(self, pending, kernel_dir, finish_outcome, send,
                       tel, root, stats) -> None:
-        """Fan chunks out over a process pool, surviving worker loss.
-
-        A worker that dies (OOM kill, node loss, injected
-        :class:`~repro.faults.taxonomy.WorkerCrash`) breaks the whole
-        ``ProcessPoolExecutor``: every in-flight future fails with
-        :class:`BrokenProcessPool`.  Finished chunks keep their
-        results; the lost ones are requeued — at ``attempt + 1``, so
-        attempt-bounded crash rules stop firing — on a fresh pool.
-        After ``max_worker_restarts`` rebuilds the engine degrades
-        gracefully and runs the remaining cells in-process instead.
-        """
+        """Fan chunks out over a :class:`WorkerPool` that lives for this call."""
         by_index = {t.index: t for t in pending}
-        queue = [self._make_chunk(tasks, kernel_dir, tel is not None)
-                 for tasks in self._chunk(pending)]
-        for chunk in queue:
-            for task in chunk.tasks:
-                send(EventKind.CELL_STARTED, task)
-        restarts = 0
-        while queue:
-            requeue: list[CellChunk] = []
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                futures = {pool.submit(_run_chunk, chunk): chunk for chunk in queue}
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        chunk = futures[future]
-                        try:
-                            outcomes, snapshot, log_records = future.result()
-                        except (BrokenProcessPool, OSError) as exc:
-                            # The pool is gone; every still-pending future
-                            # fails the same way and lands in the requeue.
-                            attempt = chunk.attempt + 1
-                            requeue.append(dataclasses.replace(chunk, attempt=attempt))
-                            telemetry.count("engine.worker_lost")
-                            send(
-                                EventKind.WORKER_LOST, chunk.tasks[0],
-                                message=f"worker died ({type(exc).__name__}); "
-                                f"requeued {len(chunk.tasks)} cell(s) at attempt {attempt}",
-                            )
-                            continue
-                        if snapshot is not None and tel is not None:
-                            # Worker spans nest under the campaign root.
-                            tel.merge(snapshot, parent=root)
-                        if log_records:
-                            parent_log = telemetry.active_logger()
-                            if parent_log is not None:
-                                parent_log.merge(log_records)
-                        for index, outcome in outcomes:
-                            finish_outcome(by_index[index], outcome)
-            queue = requeue
-            if not queue:
-                break
-            restarts += 1
-            stats["worker_restarts"] += 1
-            telemetry.count("engine.worker_restarts")
-            if restarts > self.max_worker_restarts:
-                # Graceful degradation: no pool left to trust — finish
-                # the remaining cells in this process.
-                leftovers = [t for chunk in queue for t in chunk.tasks]
-                send(
-                    EventKind.WORKER_LOST,
-                    message=f"worker restart budget ({self.max_worker_restarts}) "
-                    f"exhausted; running {len(leftovers)} remaining cell(s) "
-                    f"in-process",
-                )
-                self._run_serial(leftovers, kernel_dir, finish_outcome)
+        pool = WorkerPool(self.workers)
+        futures: dict[Future, CellChunk] = {}
+
+        def dispatch(chunk: CellChunk) -> None:
+            future = pool.submit(chunk)
+            if future is not None:
+                futures[future] = chunk
                 return
+            send(EventKind.WORKER_LOST,
+                 message=f"worker restart budget ({MAX_WORKER_RESTARTS}) exhausted; "
+                 f"running {len(chunk.tasks)} cell(s) in-process")
+            self._run_serial(chunk.tasks, kernel_dir, finish_outcome)
+
+        try:
+            for tasks in self._chunk(pending):
+                for task in tasks:
+                    send(EventKind.CELL_STARTED, task)
+                dispatch(self._make_chunk(tasks, kernel_dir, tel is not None))
+            while futures:
+                for future in wait(futures, return_when=FIRST_COMPLETED).done:
+                    chunk = futures.pop(future)
+                    try:
+                        outcomes, snapshot, log_records = future.result()
+                    except (BrokenProcessPool, OSError) as exc:
+                        pool.lost(future)
+                        chunk = dataclasses.replace(chunk, attempt=chunk.attempt + 1)
+                        telemetry.count("engine.worker_lost")
+                        send(EventKind.WORKER_LOST, chunk.tasks[0],
+                             message=f"worker died ({type(exc).__name__}); requeued "
+                             f"{len(chunk.tasks)} cell(s) at attempt {chunk.attempt}")
+                        dispatch(chunk)
+                        continue
+                    if snapshot is not None and tel is not None:
+                        # Worker spans nest under the campaign root.
+                        tel.merge(snapshot, parent=root)
+                    parent_log = telemetry.active_logger()
+                    if log_records and parent_log is not None:
+                        parent_log.merge(log_records)
+                    for index, outcome in outcomes:
+                        finish_outcome(by_index[index], outcome)
+        finally:
+            pool.shutdown()
+        stats["worker_restarts"] = pool.restarts
+        if pool.restarts:
+            telemetry.count("engine.worker_restarts", pool.restarts)

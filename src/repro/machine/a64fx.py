@@ -37,7 +37,6 @@ A64FX_CORE = CoreModel(
     fspecial_cycles=60.0,
     branch_miss_penalty=12.0,
     ooo_quality=0.55,
-    issue_width=4,
 )
 
 A64FX_L1 = CacheLevel(
@@ -45,7 +44,6 @@ A64FX_L1 = CacheLevel(
     capacity_bytes=64 * KiB,
     line_bytes=256,
     associativity=4,
-    latency_cycles=5.0,
     bytes_per_cycle_per_core=128.0,  # 2x 512-bit loads/cycle
     shared_by_cores=1,
 )
@@ -55,7 +53,6 @@ A64FX_L2 = CacheLevel(
     capacity_bytes=8 * MiB,
     line_bytes=256,
     associativity=16,
-    latency_cycles=40.0,
     bytes_per_cycle_per_core=64.0,
     shared_by_cores=12,
 )
@@ -66,15 +63,12 @@ A64FX_HBM2 = MemorySystem(
     stream_efficiency=0.82,
     latency=130e-9,
     cores_to_half_saturation=3.0,
-    write_penalty=1.0,  # SVE streaming stores avoid RFO ("zfill")
 )
 
 A64FX_TOPOLOGY = Topology(
     name="A64FX node (4 CMGs)",
     numa_domains=4,
     cores_per_domain=12,
-    interconnect_bandwidth=gb_per_s(115.0),  # CMG ring network
-    remote_latency_penalty=55e-9,
 )
 
 

@@ -26,8 +26,6 @@ class CacheLevel:
     capacity_bytes: int
     line_bytes: int
     associativity: int
-    #: Load-to-use latency in core cycles.
-    latency_cycles: float
     #: Sustained bandwidth between this level and the core(s) it feeds,
     #: in bytes per cycle *per core*.
     bytes_per_cycle_per_core: float

@@ -44,13 +44,11 @@ class CoreModel:
     #: independent scalar work and hides L1/L2 latency.  Xeon ~0.9,
     #: A64FX ~0.55 (shallower scheduler, weaker scalar engine).
     ooo_quality: float
-    #: Instructions decoded/issued per cycle (scalar pipeline width).
-    issue_width: int = 4
 
     def __post_init__(self) -> None:
         if self.frequency_hz <= 0:
             raise MachineConfigError(f"{self.name}: frequency must be positive")
-        for attr in ("fp_pipes", "fp_pipe_bits", "int_pipes", "load_ports", "store_ports", "issue_width"):
+        for attr in ("fp_pipes", "fp_pipe_bits", "int_pipes", "load_ports", "store_ports"):
             if getattr(self, attr) <= 0:
                 raise MachineConfigError(f"{self.name}: {attr} must be positive")
         if not 0 < self.ooo_quality <= 1:

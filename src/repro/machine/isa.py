@@ -26,10 +26,6 @@ class VectorISA:
     has_predication: bool
     #: Hardware gather loads (indirect reads in vector code).
     has_gather: bool
-    #: Hardware scatter stores.
-    has_scatter: bool
-    #: Fused multiply-add instructions.
-    has_fma: bool = True
     #: Relative per-element cost of a gather versus a contiguous vector
     #: load (A64FX gathers are element-serialized: ~1 element/cycle).
     gather_cost_per_element: float = 1.0
@@ -49,10 +45,10 @@ class VectorISA:
 
 
 #: Scalar fallback (no SIMD at all).
-SCALAR = VectorISA("scalar", 64, has_predication=False, has_gather=False, has_scatter=False)
+SCALAR = VectorISA("scalar", 64, has_predication=False, has_gather=False)
 
 #: Arm NEON / ASIMD: 128-bit, no predication, no gather.
-NEON = VectorISA("neon", 128, has_predication=False, has_gather=False, has_scatter=False)
+NEON = VectorISA("neon", 128, has_predication=False, has_gather=False)
 
 #: Arm SVE at A64FX's 512-bit width; gathers are element-serialized.
 SVE512 = VectorISA(
@@ -60,7 +56,6 @@ SVE512 = VectorISA(
     512,
     has_predication=True,
     has_gather=True,
-    has_scatter=True,
     gather_cost_per_element=1.0,
 )
 
@@ -70,7 +65,6 @@ AVX2 = VectorISA(
     256,
     has_predication=False,
     has_gather=True,
-    has_scatter=False,
     gather_cost_per_element=0.8,
 )
 
@@ -80,7 +74,6 @@ AVX512 = VectorISA(
     512,
     has_predication=True,
     has_gather=True,
-    has_scatter=True,
     gather_cost_per_element=0.6,
 )
 

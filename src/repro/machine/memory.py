@@ -36,9 +36,6 @@ class MemorySystem:
     #: Cores needed to reach ~63% of sustained bandwidth (the ``k`` of
     #: the saturation curve bw(c) = sustained * c / (c + k - 1)).
     cores_to_half_saturation: float = 2.0
-    #: Multiplier on sustained bandwidth for write streams (write
-    #: allocate / RFO traffic); 1.0 when streaming stores avoid RFO.
-    write_penalty: float = 1.0
 
     def __post_init__(self) -> None:
         if self.peak_bandwidth <= 0:

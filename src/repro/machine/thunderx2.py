@@ -37,7 +37,6 @@ TX2_CORE = CoreModel(
     fspecial_cycles=50.0,
     branch_miss_penalty=14.0,
     ooo_quality=0.80,
-    issue_width=4,
 )
 
 TX2_L1 = CacheLevel(
@@ -45,7 +44,6 @@ TX2_L1 = CacheLevel(
     capacity_bytes=32 * KiB,
     line_bytes=64,
     associativity=8,
-    latency_cycles=4.0,
     bytes_per_cycle_per_core=32.0,
     shared_by_cores=1,
 )
@@ -55,7 +53,6 @@ TX2_L2 = CacheLevel(
     capacity_bytes=256 * KiB,
     line_bytes=64,
     associativity=8,
-    latency_cycles=12.0,
     bytes_per_cycle_per_core=32.0,
     shared_by_cores=1,
 )
@@ -65,7 +62,6 @@ TX2_L3 = CacheLevel(
     capacity_bytes=32 * MiB,
     line_bytes=64,
     associativity=16,
-    latency_cycles=40.0,
     bytes_per_cycle_per_core=16.0,
     shared_by_cores=32,
 )
@@ -76,15 +72,12 @@ TX2_DDR4 = MemorySystem(
     stream_efficiency=0.80,
     latency=90e-9,
     cores_to_half_saturation=4.0,
-    write_penalty=1.3,
 )
 
 TX2_TOPOLOGY = Topology(
     name="ThunderX2 socket",
     numa_domains=1,
     cores_per_domain=32,
-    interconnect_bandwidth=gb_per_s(60.0),
-    remote_latency_penalty=80e-9,
 )
 
 

@@ -23,11 +23,6 @@ class Topology:
     name: str
     numa_domains: int
     cores_per_domain: int
-    #: Inter-domain (ring/mesh) bandwidth per link, bytes/s; traffic to
-    #: a remote domain's memory pays this plus extra latency.
-    interconnect_bandwidth: float = 0.0
-    #: Additional latency for remote-domain accesses (seconds).
-    remote_latency_penalty: float = 0.0
 
     def __post_init__(self) -> None:
         if self.numa_domains <= 0 or self.cores_per_domain <= 0:

@@ -31,7 +31,6 @@ XEON_CORE = CoreModel(
     fspecial_cycles=40.0,
     branch_miss_penalty=17.0,
     ooo_quality=0.90,
-    issue_width=5,
 )
 
 XEON_L1 = CacheLevel(
@@ -39,7 +38,6 @@ XEON_L1 = CacheLevel(
     capacity_bytes=32 * KiB,
     line_bytes=64,
     associativity=8,
-    latency_cycles=5.0,
     bytes_per_cycle_per_core=128.0,
     shared_by_cores=1,
 )
@@ -49,7 +47,6 @@ XEON_L2 = CacheLevel(
     capacity_bytes=1 * MiB,
     line_bytes=64,
     associativity=16,
-    latency_cycles=14.0,
     bytes_per_cycle_per_core=64.0,
     shared_by_cores=1,
 )
@@ -59,7 +56,6 @@ XEON_L3 = CacheLevel(
     capacity_bytes=24 * MiB,  # modelled at 24 MiB/12-way (datasheet: 24.75, 11-way)
     line_bytes=64,
     associativity=12,
-    latency_cycles=44.0,
     bytes_per_cycle_per_core=32.0,
     shared_by_cores=18,
 )
@@ -70,15 +66,12 @@ XEON_DDR4 = MemorySystem(
     stream_efficiency=0.78,
     latency=85e-9,
     cores_to_half_saturation=4.0,
-    write_penalty=1.3,  # RFO on regular stores
 )
 
 XEON_TOPOLOGY = Topology(
     name="Xeon socket",
     numa_domains=1,
     cores_per_domain=18,
-    interconnect_bandwidth=gb_per_s(60.0),
-    remote_latency_penalty=60e-9,
 )
 
 

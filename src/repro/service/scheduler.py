@@ -22,9 +22,9 @@ the in-flight table
 ``kernels/`` (the content-addressed kernel cache)
     Cells are dispatched in benchmark-major batches (all of a
     benchmark's variants in one pool task), so a worker compiles each
-    kernel once per batch in memory — and persists it, so any later
-    batch of any campaign that shares the kernel skips compilation
-    entirely.
+    kernel once per batch in memory, and persists it.  A later batch
+    that shares the kernel reads it back, which costs about what
+    compiling it does (``docs/ENGINE.md`` §Cache layout).
 
 Every campaign checkpoints into its own journal
 (``service/<id>/journal.jsonl``) through the engine's
@@ -62,6 +62,7 @@ from repro.harness.engine import (
     CellChunk,
     CellTask,
     EventKind,
+    WorkerPool,
     completion_kind,
     _run_chunk,
 )
@@ -198,7 +199,9 @@ class CampaignScheduler:
         self.workers = workers
         self.campaigns: dict[str, ServiceCampaign] = {}
         self._inflight: dict[str, asyncio.Future] = {}
-        self._pool = None
+        #: Lives as long as the service; once it is exhausted, batches
+        #: run on threads as with ``workers=0``.
+        self.pool = WorkerPool(workers)
         self._seq = 0
         #: Service-wide counters (Prometheus + /stats).
         self.counters = {
@@ -276,18 +279,19 @@ class CampaignScheduler:
         campaign.cancelled = True
         for batch, exec_fut in campaign.batches:
             if exec_fut.cancel():
-                self._release(campaign_id, batch)
+                self._release(batch, CellAbandoned, campaign_id)
         return campaign
 
-    def _release(self, campaign_id: str, claims) -> None:
-        """Give up claimed cells: their unresolved futures raise
-        :class:`CellAbandoned`, so waiters from other tenants re-claim
-        the cells instead of waiting on a result nobody will deliver."""
+    def _release(self, claims, error: "type[Exception]", message: str) -> None:
+        """Give up claimed cells: their unresolved futures raise ``error``
+        (:class:`CellAbandoned` on a cancel, :class:`ServiceError` when
+        their batch failed), so waiters from other tenants re-claim the
+        cells instead of waiting on a result nobody will deliver."""
         for _task, key, fut in claims:
             if self._inflight.get(key) is fut:
                 del self._inflight[key]
             if not fut.done():
-                fut.set_exception(CellAbandoned(campaign_id))
+                fut.set_exception(error(message))
 
     def get(self, campaign_id: str) -> ServiceCampaign:
         try:
@@ -329,7 +333,7 @@ class CampaignScheduler:
             # However the campaign ended, no waiter may stay stranded on
             # a cell it claimed but never resolved (a no-op once every
             # claim has its record).
-            self._release(c.id, c.claims)
+            self._release(c.claims, CellAbandoned, c.id)
             if journal is not None:
                 journal.close()
 
@@ -384,7 +388,7 @@ class CampaignScheduler:
 
         for batch in self._batched(owned):
             if c.cancelled:
-                self._release(c.id, batch)
+                self._release(batch, CellAbandoned, c.id)
                 continue
             self._dispatch(c, batch)
 
@@ -471,15 +475,9 @@ class CampaignScheduler:
             groups.setdefault(entry[0].benchmark.full_name, []).append(entry)
         return list(groups.values())
 
-    def _dispatch(self, c: ServiceCampaign, batch, *, retry: bool = True) -> None:
-        """Hand one batch to the executor and wire its results back to
-        the cell futures (the callback runs on the event loop).
-
-        A worker that dies (OOM kill, SIGKILL) breaks the whole pool:
-        every batch on it fails with :class:`BrokenProcessPool`.  Such a
-        batch is dispatched once more (``retry``), on the fresh pool
-        :meth:`_submit` starts in place of the broken one.
-        """
+    def _dispatch(self, c: ServiceCampaign, batch, attempt: int = 0) -> None:
+        """Run one batch on the worker pool (on a thread when the pool hands
+        it back) and resolve its cell futures on the event loop."""
         self.counters["kernel_batches"] += 1
         log_ctx = None
         if telemetry.active_logger() is not None:
@@ -489,39 +487,36 @@ class CampaignScheduler:
             tasks=tuple(task for task, _key, _fut in batch),
             runs=c.spec.runs,
             kernel_dir=str(self.kernel_dir),
+            attempt=attempt,
             log_ctx=log_ctx,
         )
         claims = {task.index: (key, fut) for task, key, fut in batch}
-        if self.workers == 0:
+        pool_fut = self.pool.submit(chunk)
+        if pool_fut is None:
             exec_fut = asyncio.ensure_future(asyncio.to_thread(_run_chunk, chunk))
         else:
             self.counters["pool_tasks"] += 1
             telemetry.count("service.pool_tasks")
-            exec_fut = self._submit(chunk)
+            exec_fut = asyncio.wrap_future(pool_fut)
         c.batches.append((batch, exec_fut))
 
         def _finish_batch(done_fut) -> None:
             if done_fut.cancelled():
                 return  # cancel() already released the cells
             exc = done_fut.exception()
-            if isinstance(exc, BrokenProcessPool) and retry:
+            if pool_fut is not None and isinstance(exc, (BrokenProcessPool, OSError)):
+                self.pool.lost(pool_fut)
                 try:
-                    return self._dispatch(c, batch, retry=False)
+                    return self._dispatch(c, batch, attempt + 1)
                 except Exception as again:  # noqa: BLE001 - fail the batch
                     exc = again
             if exc is not None:
-                for _task, key, fut in batch:
-                    if self._inflight.get(key) is fut:
-                        del self._inflight[key]
-                    if not fut.done():
-                        fut.set_exception(
-                            ServiceError(f"batch execution failed: {exc}"))
-                return
+                return self._release(batch, ServiceError,
+                                     f"batch execution failed: {exc}")
             outcomes, _snapshot, log_records = done_fut.result()
-            if log_records:
-                logger = telemetry.active_logger()
-                if logger is not None:
-                    logger.merge(log_records)
+            logger = telemetry.active_logger()
+            if log_records and logger is not None:
+                logger.merge(log_records)
             for index, outcome in outcomes:
                 key, fut = claims[index]
                 self.cell_cache.put(key, outcome.record)
@@ -534,32 +529,12 @@ class CampaignScheduler:
 
         exec_fut.add_done_callback(_finish_batch)
 
-    def _submit(self, chunk: CellChunk) -> asyncio.Future:
-        """Run ``chunk`` on the worker pool; a pool that a dead worker
-        broke refuses new work, so it is replaced by a fresh one."""
-        loop = asyncio.get_running_loop()
-        try:
-            return loop.run_in_executor(self._ensure_pool(), _run_chunk, chunk)
-        except BrokenProcessPool:
-            self.shutdown_pool(wait=False)
-            return loop.run_in_executor(self._ensure_pool(), _run_chunk, chunk)
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            telemetry.count("service.pool_created")
-        return self._pool
-
     @property
     def pool_created(self) -> bool:
-        return self._pool is not None
+        return self.pool.started
 
     def shutdown_pool(self, *, wait: bool) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait, cancel_futures=not wait)
-            self._pool = None
+        self.pool.shutdown(wait=wait)
 
     # -- bookkeeping -----------------------------------------------------
 

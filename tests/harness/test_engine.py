@@ -2,6 +2,7 @@
 caching, journal/resume, and parallel-vs-serial equivalence."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -366,6 +367,34 @@ class TestParallelEquivalence:
             a64fx_machine, variants=("GNU", "LLVM"), benchmarks=benches, workers=1
         ).run()
         assert parallel.records == serial.records
+
+
+class TestWorkerPoolScope:
+    """The engine's pool lives for one ``run()``."""
+
+    def test_each_run_starts_one_pool_and_leaves_no_worker(
+        self, a64fx_machine, monkeypatch
+    ):
+        import repro.harness.engine as engine_mod
+
+        real = engine_mod.ProcessPoolExecutor
+        starts = []
+
+        class CountingPool(real):
+            def __init__(self, *args, **kwargs):
+                starts.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", CountingPool)
+        before = {p.pid for p in multiprocessing.active_children()}
+        for runs in (1, 2):
+            CampaignEngine(
+                a64fx_machine, variants=("GNU", "FJtrad"),
+                benchmarks=micro_suite().benchmarks[:6], workers=2,
+            ).run()
+            assert len(starts) == runs
+            assert [p.pid for p in multiprocessing.active_children()
+                    if p.pid not in before] == []
 
 
 class TestParallelStartMethods:

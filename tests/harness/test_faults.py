@@ -357,15 +357,18 @@ class TestEngineChaos:
         assert any(e.kind is EventKind.WORKER_LOST for e in events)
 
     def test_exhausted_restart_budget_degrades_to_in_process(
-        self, a64fx_machine
+        self, a64fx_machine, monkeypatch
     ):
+        import repro.harness.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod, "MAX_WORKER_RESTARTS", 0)
         clean = self._engine(a64fx_machine).run()
         plan = FaultPlan(seed=4, rules=(
             FaultRule(site="worker", probability=1.0, transient=True,
                       first_attempts=None),))
         events = []
         result = self._engine(
-            a64fx_machine, fault_plan=plan, workers=2, max_worker_restarts=0,
+            a64fx_machine, fault_plan=plan, workers=2,
         ).run(emit=events.append)
         assert result.records == clean.records
         assert result.meta["worker_restarts"] == 1
@@ -486,8 +489,6 @@ class TestEngineChaos:
             self._engine(a64fx_machine, cell_timeout_s=0.0)
         with pytest.raises(HarnessError):
             self._engine(a64fx_machine, max_retries=-1)
-        with pytest.raises(HarnessError):
-            self._engine(a64fx_machine, max_worker_restarts=-1)
 
 
 class TestResilienceReporting:

@@ -15,7 +15,6 @@ def small_cache(capacity=1 * KiB, line=64, ways=2):
         capacity_bytes=capacity,
         line_bytes=line,
         associativity=ways,
-        latency_cycles=4,
         bytes_per_cycle_per_core=64,
     )
 
@@ -37,7 +36,7 @@ class TestCacheLevel:
         assert lvl.effective_capacity(12) == lvl.capacity_bytes
 
     def test_effective_capacity_shared(self):
-        lvl = CacheLevel("L2", 8 * KiB, 64, 4, 40, 64, shared_by_cores=4)
+        lvl = CacheLevel("L2", 8 * KiB, 64, 4, 64, shared_by_cores=4)
         assert lvl.effective_capacity(1) == 8 * KiB
         assert lvl.effective_capacity(2) == 4 * KiB
         assert lvl.effective_capacity(100) == 2 * KiB

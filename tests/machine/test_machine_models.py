@@ -39,10 +39,10 @@ class TestISA:
 
     def test_bad_width_rejected(self):
         with pytest.raises(MachineConfigError):
-            VectorISA("odd", 100, False, False, False)
+            VectorISA("odd", 100, False, False)
 
     def test_feature_flags(self):
-        assert SVE512.has_predication and SVE512.has_gather and SVE512.has_scatter
+        assert SVE512.has_predication and SVE512.has_gather
         assert not NEON.has_gather
 
 

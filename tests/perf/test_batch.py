@@ -1,11 +1,13 @@
-"""Tests for the batched grid evaluator (repro.perf.batch).
+"""Tests for the placement evaluator (repro.perf.batch).
 
-The scalar :func:`repro.perf.cost.benchmark_model` is the reference
-oracle: the differential tests sweep the full default campaign grid and
-assert the batched path reproduces every scalar ``ModelResult``
-bit-identically, failed-build ``inf`` cells included.  Property tests
-pin the feature-matrix extractor to the scalar traffic/ECM models on
-degenerate (zero-trip) and triangular-approximated nests.
+:func:`repro.perf.batch.evaluate_placements` costs all of a cell's
+placements in one call, sharing the unit compiles and nest features
+among them; :func:`repro.perf.cost.benchmark_model` costs one placement
+alone.  The differential tests sweep the full default campaign grid on
+all three machines and assert that both give every ``ModelResult`` bit
+for bit, failed-build ``inf`` cells included.  Property tests pin the
+nest-feature extractor to the traffic and ECM models on degenerate
+(zero-trip) and triangular-approximated nests.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class TestDifferentialFullGrid:
     )
     def test_full_default_grid_bit_identical(self, machine_name, min_cells):
         """Every (benchmark, variant, placement) cell of the default
-        campaign grid: batched == scalar, exactly."""
+        campaign grid: a cell's placements costed together equal each
+        placement costed alone, exactly."""
         machine = resolve_machine(machine_name)
         cache = CompilationCache()
         cells = 0
@@ -56,11 +59,11 @@ class TestDifferentialFullGrid:
         for bench in all_benchmarks():
             placements = placement_candidates(bench, machine)
             for variant in STUDY_VARIANTS:
-                batched = evaluate_placements(
+                together = evaluate_placements(
                     bench, variant, machine, placements, cache=cache
                 )
-                assert len(batched) == len(placements)
-                for placement, got in zip(placements, batched):
+                assert len(together) == len(placements)
+                for placement, got in zip(placements, together):
                     want = benchmark_model(
                         bench, variant, machine, placement, cache=cache
                     )
@@ -83,11 +86,11 @@ class TestDifferentialFullGrid:
             assert r.time_s == float("inf")
 
     def test_results_are_plain_floats(self, a64fx_machine):
-        # Record times are json-serialized downstream: no numpy scalar
-        # types may leak out of the batched path.
+        # Record times are json-serialized downstream: every time of a
+        # cell whose placements are costed together is a plain float.
         bench = micro_suite().get("k04")
         placements = placement_candidates(bench, a64fx_machine)
-        assert len(placements) > 1  # exercises the vectorized branch
+        assert len(placements) > 1
         for r in evaluate_placements(bench, "GNU", a64fx_machine, placements):
             assert type(r.time_s) is float
             assert type(r.compute_s) is float
@@ -128,8 +131,8 @@ class TestEvaluateGrid:
 
 def _machine(l1_kib: int = 32) -> Machine:
     core = CoreModel("p", ghz(2.0), 2, 512, 2, 2, 1, 40, 50, 60, 10, 0.6)
-    l1 = CacheLevel("L1d", l1_kib * KiB, 64, 4, 4, 128, 1)
-    l2 = CacheLevel("L2", 4096 * KiB, 64, 8, 30, 64, 4)
+    l1 = CacheLevel("L1d", l1_kib * KiB, 64, 4, 128, 1)
+    l2 = CacheLevel("L2", 4096 * KiB, 64, 8, 64, 4)
     mem = MemorySystem("mem", gb_per_s(100), 0.8, 100e-9)
     return Machine("p", core, (l1, l2), mem, Topology("t", 1, 4), (SCALAR,))
 

@@ -26,7 +26,8 @@ class TestPowerModel:
         m = Machine(
             "Mystery",
             CoreModel("c", ghz(1), 1, 128, 1, 1, 1, 10, 10, 10, 10, 0.5),
-            (CacheLevel("L1", 32 * KiB, 64, 4, 4, 64),),
+            (CacheLevel("L1", capacity_bytes=32 * KiB, line_bytes=64,
+                        associativity=4, bytes_per_cycle_per_core=64),),
             MemorySystem("m", gb_per_s(10), 0.8, 1e-7),
             Topology("t", 1, 1),
             (SCALAR,),

@@ -27,8 +27,8 @@ from repro.units import KiB, gb_per_s, ghz
 
 def machine_with_l1(l1_kib: int) -> Machine:
     core = CoreModel("p", ghz(2.0), 2, 512, 2, 2, 1, 40, 50, 60, 10, 0.6)
-    l1 = CacheLevel("L1d", l1_kib * KiB, 64, 4, 4, 128, 1)
-    l2 = CacheLevel("L2", 4096 * KiB, 64, 8, 30, 64, 4)
+    l1 = CacheLevel("L1d", l1_kib * KiB, 64, 4, 128, 1)
+    l2 = CacheLevel("L2", 4096 * KiB, 64, 8, 64, 4)
     mem = MemorySystem("mem", gb_per_s(100), 0.8, 100e-9)
     return Machine("p", core, (l1, l2), mem, Topology("t", 1, 4), (SCALAR,))
 

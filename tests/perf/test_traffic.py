@@ -18,8 +18,8 @@ from tests.conftest import build_gemm, build_stream
 def tiny_machine(l1_kib=4, l2_kib=64, line=64):
     """A shrunken machine so small traced kernels exercise capacity."""
     core = CoreModel("t", ghz(2.0), 2, 512, 2, 2, 1, 40, 50, 60, 10, 0.6)
-    l1 = CacheLevel("L1d", l1_kib * KiB, line, 4, 4, 128, 1)
-    l2 = CacheLevel("L2", l2_kib * KiB, line, 8, 30, 64, 4)
+    l1 = CacheLevel("L1d", l1_kib * KiB, line, 4, 128, 1)
+    l2 = CacheLevel("L2", l2_kib * KiB, line, 8, 64, 4)
     mem = MemorySystem("mem", gb_per_s(100), 0.8, 100e-9)
     topo = Topology("t", 1, 4)
     return Machine("tiny", core, (l1, l2), mem, topo, (SCALAR,))

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.harness.engine import CampaignEngine, EventKind
+from repro.harness.engine import _run_chunk as _real_run_chunk
 from repro.harness.results import record_to_dict
 from repro.service import CampaignSpec
 from repro.service.registry import (
@@ -51,6 +52,14 @@ async def finished(*campaigns):
 
 def records_of(campaign) -> dict:
     return {name: record_to_dict(rec) for name, rec in campaign.done.items()}
+
+
+def _dies_on_first_attempt(chunk):
+    """Stands in for ``_run_chunk``: a pool worker dies on each chunk's
+    first attempt.  Module-level, so a forked worker unpickles it."""
+    if chunk.attempt == 0 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _real_run_chunk(chunk)
 
 
 class TestDedupe:
@@ -337,15 +346,17 @@ class TestPoolFailures:
     def test_failed_dispatch_fails_only_its_campaign(
         self, tmp_path, monkeypatch
     ):
-        real = CampaignScheduler._ensure_pool
+        import repro.harness.engine as engine_mod
+
+        real = engine_mod.ProcessPoolExecutor
         failures = [OSError("cannot start worker processes")]
 
-        def flaky_pool(self):
+        def flaky_pool(*args, **kwargs):
             if failures:
                 raise failures.pop()
-            return real(self)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(CampaignScheduler, "_ensure_pool", flaky_pool)
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", flaky_pool)
 
         async def main():
             sched = CampaignScheduler(tmp_path, workers=1)
@@ -365,6 +376,30 @@ class TestPoolFailures:
         assert "OSError" in alice.error
         assert bob.state == STATE_FINISHED, bob.error
         assert bob.completed == bob.total
+
+    def test_lost_batch_is_resubmitted_at_the_next_attempt(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.harness.engine as engine_mod
+        import repro.service.scheduler as mod
+
+        async def main(root, workers):
+            sched = CampaignScheduler(root, workers=workers)
+            try:
+                c = sched.submit(spec("alice"))
+                await asyncio.wait_for(finished(c), timeout=120)
+                return sched, c
+            finally:
+                sched.shutdown_pool(wait=True)
+
+        _, clean = run(main(tmp_path / "threads", 0))
+        # Patched before the pool forks, so its workers inherit it.
+        monkeypatch.setattr(engine_mod, "_run_chunk", _dies_on_first_attempt)
+        monkeypatch.setattr(mod, "_run_chunk", _dies_on_first_attempt)
+        sched, crashed = run(main(tmp_path / "pool", 1))
+        assert crashed.state == STATE_FINISHED, crashed.error
+        assert records_of(crashed) == records_of(clean)
+        assert sched.pool.restarts >= 1
 
 
 class TestEventOrder:
