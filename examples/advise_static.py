@@ -1,54 +1,52 @@
 #!/usr/bin/env python3
-"""Static compiler advice: which compiler wins, without running cells.
+"""Compiler advice without a campaign: what each compiler did, and who wins.
 
 The paper's conclusion is a per-workload compiler recommendation
-derived from measurements on real A64FX nodes.  The divergence
-analyzer gets there statically: it replays each compiler model's
-transform gates (interchange, Polly permute/tile, vectorization
-legality, DCE and incident tables) against dataflow facts, prices the
-predictions with the ECM machine model, and picks a winner per kernel.
+derived from measurements on real A64FX nodes.  The divergence rules
+explain the differences without running a cell: they compile each
+kernel with every study variant and compare what the compiler models
+did (loop order, dead-code elimination, build/run status,
+vectorization, tiling).  The noise-free cost model then names the
+winner, as ``a64fx-campaign advise-static`` does.
 
-Four stops:
+Three stops:
 
 1. Recover the paper's 2mm diagnosis: FJ keeps ijk, the others
-   interchange — and the recommendation follows.
+   interchange — and the cost model's pick follows.
 2. The mvt outlier: LLVM+Polly eliminates the kernel as dead code
    (DIV002), which is a *trap*, not a win.
 3. Ranked divergence findings for a whole benchmark.
-4. Differential check: static picks vs the batched cost-model grid
-   over PolyBench.
 
 Run:  python examples/advise_static.py
 """
 
+from repro.perf.batch import evaluate_grid
 from repro.staticanalysis import AnalysisContext, analyze_kernel
-from repro.staticanalysis.divergence import (
-    DIVERGENCE_RULES,
-    grid_best_variants,
-    predict_transforms,
-    rank_divergence,
-    recommend_benchmark,
-    recommend_compiler,
-)
-from repro.suites import get_benchmark, get_suite
+from repro.staticanalysis.divergence import DIVERGENCE_RULES, rank_divergence
+from repro.suites import get_benchmark
 
 
 def kernel_of(full_name: str):
     return next(iter(get_benchmark(full_name).kernels()))
 
 
+def fastest(full_name: str) -> str:
+    """The variant the noise-free cost model finds fastest."""
+    cells = evaluate_grid(benchmarks=(full_name,)).cells
+    return min(cells, key=lambda cell: cell.best.time_s).variant
+
+
 def stop_1_the_2mm_diagnosis(ctx: AnalysisContext) -> None:
     print("=== 1. 2mm: who interchanges, and who should you use ===")
     kernel = kernel_of("polybench.2mm")
-    preds = predict_transforms(kernel, ctx)
-    for variant, pred in preds.items():
+    for variant, compiled in ctx.compiled(kernel).items():
         orders = ", ".join(
-            "".join(n.order) + ("*" if n.tiled else "") for n in pred.nests
+            "".join(info.nest.loop_vars)
+            + ("*" if info.tile_working_set is not None else "")
+            for info in compiled.nest_infos
         )
         print(f"  {variant:10s} loop orders: {orders}   (* = tiled)")
-    rec = recommend_compiler(kernel, ctx)
-    print(f"  -> recommendation: {rec.variant}")
-    print(f"     because: {rec.reasons[rec.variant]}")
+    print(f"  -> the cost model picks {fastest('polybench.2mm')}")
     print()
 
 
@@ -58,8 +56,7 @@ def stop_2_the_mvt_trap(ctx: AnalysisContext) -> None:
     for diag in analyze_kernel(kernel, ctx=ctx):
         if diag.rule_id == "DIV002":
             print(f"  {diag}")
-    rec = recommend_compiler(kernel, ctx)
-    print(f"  -> recommendation: {rec.variant} "
+    print(f"  -> the cost model picks {fastest('polybench.mvt')} "
           f"(Polly's 'win' measures an empty loop)")
     print()
 
@@ -73,30 +70,13 @@ def stop_3_ranked_divergence(ctx: AnalysisContext) -> None:
     ]
     for diag in rank_divergence(findings):
         print(f"  {diag}")
-    print()
-
-
-def stop_4_differential(ctx: AnalysisContext) -> None:
-    print("=== 4. Static picks vs the cost-model grid (PolyBench) ===")
-    oracle = grid_best_variants(suites=("polybench",))
-    agree = 0
-    benches = get_suite("polybench").benchmarks
-    for bench in benches:
-        rec = recommend_benchmark(bench, ctx)
-        grid = oracle[bench.full_name]
-        mark = "==" if rec.variant == grid else "!="
-        agree += rec.variant == grid
-        print(f"  {bench.full_name:26s} static {rec.variant:10s} "
-              f"{mark} grid {grid}")
-    print(f"  agreement: {agree}/{len(benches)}")
 
 
 def main() -> None:
-    ctx = AnalysisContext()  # one context: facts are derived once
+    ctx = AnalysisContext()  # one context: each kernel compiles once
     stop_1_the_2mm_diagnosis(ctx)
     stop_2_the_mvt_trap(ctx)
     stop_3_ranked_divergence(ctx)
-    stop_4_differential(ctx)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ from repro.analysis.advisor import (
     advice_report,
     advise,
     classify_benchmark,
-    static_advice_report,
 )
 from repro.analysis.compare import CampaignDiff, CellDelta, compare_campaigns
 from repro.analysis.figures import Figure1, Figure1Row, figure1, figure2
@@ -47,7 +46,6 @@ __all__ = [
     "ClassAdvice",
     "compare_campaigns",
     "advice_report",
-    "static_advice_report",
     "advise",
     "classify_benchmark",
     "ClaimCheck",

@@ -125,49 +125,3 @@ def advice_report(result: CampaignResult) -> str:
     else:  # pragma: no cover - would contradict the reproduction
         lines.append(f"  {best} wins {best_wins}/{total}: near-universal.")
     return "\n".join(lines)
-
-
-def static_advice_report(result: "CampaignResult | None" = None) -> str:
-    """The static analyzer's per-benchmark advice, cross-checked
-    against measured winners when a campaign result is supplied.
-
-    Unlike :func:`advice_report`, nothing here ran: the divergence
-    analyzer replays each compiler model's transform gates against the
-    dataflow facts and scores the predictions with the machine model.
-    Agreement with the measured winner is the sanity check — a
-    benchmark where the static call differs is either a near-tie or a
-    second-order effect (pass-internal tuning) the gate replay
-    deliberately omits.
-    """
-    from repro.staticanalysis import AnalysisContext
-    from repro.staticanalysis.divergence import recommend_benchmark
-    from repro.suites.registry import all_suites
-
-    measured: dict[str, str] = {}
-    if result is not None:
-        for g in benchmark_gains(result):
-            if g.baseline_valid:
-                measured[g.benchmark] = g.best_variant
-
-    ctx = AnalysisContext()
-    lines = ["Static compiler advice (no cells were run):", ""]
-    agree = considered = 0
-    for suite in all_suites():
-        for bench in suite.benchmarks:
-            rec = recommend_benchmark(bench, ctx)
-            note = ""
-            if bench.full_name in measured:
-                considered += 1
-                if measured[bench.full_name] == rec.variant:
-                    agree += 1
-                    note = "  [matches measurement]"
-                else:
-                    note = f"  [measured: {measured[bench.full_name]}]"
-            lines.append(f"  {bench.full_name:28s} -> {rec.variant}{note}")
-    if considered:
-        lines.append("")
-        lines.append(
-            f"  static call matches the measured winner on "
-            f"{agree}/{considered} benchmarks"
-        )
-    return "\n".join(lines)

@@ -29,8 +29,8 @@ Usage::
         [--format text|json|sarif] [--out PATH]
         [--fail-on error|warning] [--rule ID ...]
         [--diff | --baseline PATH]                # fail only on NEW findings
-    a64fx-campaign advise-static [--suite S ...]  # static compiler advice
-        [--benchmark B ...] [--machine M]         # (no campaign, no grid)
+    a64fx-campaign advise-static [--suite S ...]  # model-grid compiler advice
+        [--benchmark B ...] [--machine M]         # + divergence findings
     a64fx-campaign figure1                        # Xeon-vs-A64FX PolyBench
     a64fx-campaign figure2 [--csv figure2.csv]    # the full heatmap
     a64fx-campaign report [--out EXPERIMENTS.md]  # paper-vs-measured claims
@@ -462,44 +462,48 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise_static(args: argparse.Namespace) -> int:
-    """Per-benchmark compiler advice from static analysis alone.
+    """Per-benchmark compiler advice from the noise-free cost model.
 
-    Unlike ``advise`` (which runs the full campaign), this replays the
-    compiler models' transform gates against the dataflow facts — no
-    cells are evaluated — and prints the predicted best variant, the
-    per-variant rationale, and the ranked divergence findings.
+    Unlike ``advise`` (which runs the full campaign), this evaluates the
+    model grid once for the selected benchmarks (``evaluate_grid``, as
+    ``grid`` does) and prints the fastest variant, each variant's
+    best-placement model time or failed status, and the ranked
+    divergence findings: what each compiler did differently.
     """
-    from repro.api import _resolve_machine
+    from repro.machine.select import resolve_machine
+    from repro.perf.batch import GridSpec, evaluate_grid
     from repro.staticanalysis import AnalysisContext, analyze_benchmark
-    from repro.staticanalysis.divergence import (
-        DIVERGENCE_RULES,
-        rank_divergence,
-        recommend_benchmark,
-    )
-    from repro.suites import all_suites, get_benchmark, get_suite
+    from repro.staticanalysis.divergence import DIVERGENCE_RULES, rank_divergence
+    from repro.suites import get_benchmark, get_suite
+    from repro.units import pretty_seconds
 
-    benchmarks = []
-    if args.benchmark:
-        benchmarks.extend(get_benchmark(name) for name in args.benchmark)
-    if args.suite:
-        for name in args.suite:
-            benchmarks.extend(get_suite(name).benchmarks)
-    if not benchmarks:
-        for suite in all_suites():
-            benchmarks.extend(suite.benchmarks)
+    names = list(args.benchmark or [])
+    for suite in args.suite or []:
+        names.extend(b.full_name for b in get_suite(suite).benchmarks)
+    machine = resolve_machine(args.machine)
+    grid = evaluate_grid(GridSpec(
+        machine=machine, benchmarks=tuple(dict.fromkeys(names)) or None))
+    cells: dict[str, list] = {}
+    for cell in grid.cells:
+        cells.setdefault(cell.benchmark, []).append(cell)
 
-    ctx = AnalysisContext(machine=_resolve_machine(args.machine))
+    ctx = AnalysisContext(machine=machine)
     div_ids = set(DIVERGENCE_RULES)
-    for bench in benchmarks:
-        rec = recommend_benchmark(bench, ctx)
-        print(f"{bench.full_name}: use {rec.variant}")
-        for variant in rec.ranking():
-            score = rec.scores[variant]
-            shown = "broken" if score == float("inf") else f"{score:.3g}"
-            marker = "*" if variant == rec.variant else " "
-            print(f"  {marker} {variant:10s} {shown:>10s}  {rec.reasons[variant]}")
+    for name, row in cells.items():
+        ranked = sorted(row, key=lambda c: c.best.time_s)
+        print(f"{name}: use {ranked[0].variant}")
+        for cell in ranked:
+            best = cell.best
+            marker = "*" if cell is ranked[0] else " "
+            if best.valid:
+                shown = (f"{pretty_seconds(best.time_s):>10s}  at "
+                         f"{best.placement.ranks}x{best.placement.threads}")
+            else:
+                shown = f"failed ({best.status.value})"
+            print(f"  {marker} {cell.variant:10s} {shown}")
         findings = [
-            d for d in analyze_benchmark(bench, ctx=ctx) if d.rule_id in div_ids
+            d for d in analyze_benchmark(get_benchmark(name), ctx=ctx)
+            if d.rule_id in div_ids
         ]
         for diag in rank_divergence(findings):
             print(f"    {diag}")
@@ -675,13 +679,11 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    from repro.analysis import advice_report, static_advice_report
+    from repro.analysis import advice_report
     from repro.api import CampaignConfig, CampaignSession
 
     result = CampaignSession(CampaignConfig()).run()
     print(advice_report(result))
-    print()
-    print(static_advice_report(result))
     return 0
 
 
@@ -1039,8 +1041,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p_astat = sub.add_parser(
         "advise-static",
-        help="per-benchmark compiler advice from static analysis alone "
-             "(no campaign, no model grid)",
+        help="per-benchmark compiler advice from the noise-free model "
+             "grid, with the divergence findings (no campaign)",
     )
     p_astat.add_argument(
         "--suite", action="append", metavar="NAME",
@@ -1053,8 +1055,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_astat.add_argument(
         "--machine", default=None,
-        help="machine model for the scoring (a64fx, xeon, thunderx2; "
-             "default: a64fx)",
+        help="machine model to evaluate and compile for (a64fx, xeon, "
+             "thunderx2; default: a64fx)",
     )
     p_astat.set_defaults(func=_cmd_advise_static)
 

@@ -100,6 +100,9 @@ class CodegenNestInfo:
     large_pages: bool = False
     #: Names of the passes that changed this nest, for reports.
     applied_passes: tuple[str, ...] = ()
+    #: Why the vectorizer left the nest scalar ("" when it vectorized,
+    #: or when the nest was eliminated before it ran).
+    vector_blocker: str = ""
 
     def mark(self, pass_name: str) -> None:
         self.applied_passes = self.applied_passes + (pass_name,)

@@ -53,24 +53,31 @@ class VectorizePass(Pass):
             return
         caps, flags = ctx.caps, ctx.flags
         if flags.opt_level < 2:
-            return  # the auto-vectorizer is off below -O2
+            info.vector_blocker = "auto-vectorizer off below -O2"
+            return
         isa = _select_isa(ctx)
         if isa is SCALAR:
+            info.vector_blocker = "no vector ISA targeted"
             return
 
         nest = info.nest
         verdict = innermost_vectorization_legality(nest, ctx.dependences(nest))
         if not verdict.legal:
+            info.vector_blocker = "carried dependence blocks SIMD"
             return
         if verdict.needs_reduction_reassociation:
             if caps.reduction_requires_fastmath and not flags.fast_math:
-                return  # GNU at -O3: FP reductions stay scalar
+                # GNU at -O3: FP reductions stay scalar.
+                info.vector_blocker = "FP reduction needs fast-math to reassociate"
+                return
         if verdict.needs_runtime_checks and not caps.runtime_alias_checks:
+            info.vector_blocker = "needs runtime alias checks the compiler won't emit"
             return
 
         # Dependent-load chains (binary searches, list walks) cannot be
         # turned into vector code at all.
         if ctx.kernel.has_feature(Feature.POINTER_CHASING):
+            info.vector_blocker = "dependent-load chain"
             return
 
         patterns = nest_access_patterns(nest)
@@ -84,17 +91,22 @@ class VectorizePass(Pass):
         # Scattered read-modify-writes (histogramming) have intra-vector
         # conflict hazards; none of the studied compilers vectorize them.
         if has_indirect_write:
+            info.vector_blocker = "scattered read-modify-write (conflict hazard)"
             return
         if has_indirect and not (caps.vectorize_gather and isa.has_gather):
+            info.vector_blocker = "indirect streams need hardware gathers"
             return
         if has_strided and not caps.vectorize_strided:
+            info.vector_blocker = "immature SVE codegen on strided streams"
             return
         if has_predicated and not (caps.predication and isa.has_predication):
+            info.vector_blocker = "no profitable predication of conditional bodies"
             return
 
         dtype = info.dominant_dtype
         lanes = isa.lanes(dtype)
         if lanes <= 1:
+            info.vector_blocker = f"{isa.name} has one {dtype.label} lane"
             return
 
         efficiency = caps.vec_quality.get(ctx.language, 0.8)
@@ -109,6 +121,7 @@ class VectorizePass(Pass):
             elif flags.lto is LtoMode.THIN:
                 inline *= 0.97
             if inline < 0.5:
+                info.vector_blocker = "calls in the body are not inlined"
                 return
             efficiency *= inline
         # Remainder/epilogue cost for short trip counts.

@@ -811,6 +811,17 @@ class CampaignEngine:
         fingerprint = self.campaign_fingerprint()
         lint_diags, lint_blocked = self._lint_benchmarks()
 
+        def current_lint(record: RunRecord) -> RunRecord:
+            """``record`` carrying this run's findings.  A record from
+            ``cells/`` or the journal holds those of the rule set that
+            stored it, and the cell key names only the lint policy."""
+            if self.lint_policy == LINT_OFF:
+                return record
+            diags = lint_diags.get(record.benchmark, ())
+            if record.lint == diags:
+                return record
+            return dataclasses.replace(record, lint=diags)
+
         history: "CampaignHistory | None" = None
         if self.cache_dir is not None:
             history = CampaignHistory(
@@ -952,7 +963,7 @@ class CampaignEngine:
             )
             by_name = {t.name: t for t in tasks}
             for name, record in replayed.items():
-                done[name] = record
+                record = done[name] = current_lint(record)
                 stats["resumed"] += 1
                 telemetry.count("engine.resumed")
                 send(EventKind.CACHE_HIT, by_name[name], record=record,
@@ -988,7 +999,7 @@ class CampaignEngine:
                 else:
                     hit = cell_cache.get(cell_keys[task.index])
                     if hit is not None:
-                        done[task.name] = hit
+                        hit = done[task.name] = current_lint(hit)
                         stats["cache_hits"] += 1
                         if journal is not None:
                             journal.append(hit)
@@ -1004,11 +1015,7 @@ class CampaignEngine:
                     message=f"attempt {retry.attempt + 1} retried after "
                     f"{retry.fault.kind} ({retry.fault.message})",
                 )
-            record = outcome.record
-            diags = lint_diags.get(task.benchmark.full_name, ())
-            if diags:
-                record = dataclasses.replace(record, lint=diags)
-            done[task.name] = record
+            record = done[task.name] = current_lint(outcome.record)
             stats["executed"] += 1
             telemetry.count("engine.cells_executed")
             if cell_cache is not None:

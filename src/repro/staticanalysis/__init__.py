@@ -11,18 +11,18 @@ catches before burning node-hours.  This package provides that check:
 * :mod:`~repro.staticanalysis.registry` — the rule registry and the
   ``@rule`` plugin decorator;
 * :mod:`~repro.staticanalysis.dataflow` — the fixpoint dataflow
-  framework (lattices, ``solve_forward``) and the derived
+  framework (``solve_forward`` over a join semilattice) and the derived
   ``KernelFacts``/``NestFacts`` every rule consumes;
 * :mod:`~repro.staticanalysis.rules` — the built-in rules (RACE001,
   BND002, VEC003, INIT004, RED005, OPT010, STRUCT001), all ported
   onto the dataflow facts;
 * :mod:`~repro.staticanalysis.divergence` — the cross-compiler
-  divergence analyzer (DIV001–DIV005) replaying each compiler model's
-  transform gates against the facts, plus per-kernel best-compiler
-  recommendations;
+  divergence rules (DIV001–DIV005), which compare the study variants'
+  compiled kernels: what each compiler model actually did;
 * :mod:`~repro.staticanalysis.driver` — ``analyze_kernel`` walking a
-  kernel once and dispatching to rules over a memoizing context, with
-  an on-disk :class:`~repro.staticanalysis.driver.AnalysisCache`;
+  kernel once and dispatching to rules over a memoizing context (which
+  also fetches each variant's compile of the kernel), with an on-disk
+  :class:`~repro.staticanalysis.driver.AnalysisCache`;
 * :mod:`~repro.staticanalysis.baseline` — the ratcheted lint gate:
   content-addressed finding identities diffed against a committed
   ``lint-baseline.json`` so CI fails only on *new* findings;
@@ -31,7 +31,8 @@ catches before burning node-hours.  This package provides that check:
 
 Entry points: ``repro lint`` / ``repro advise-static`` on the CLI,
 ``CampaignConfig.lint_policy`` in campaigns, and ``tools/lint_gate.py``
-in CI.  Compilation never runs the analyzer.
+in CI.  Compilation never runs the analyzer; the analyzer reads
+compilations.
 """
 
 from repro import _lazy_exports
@@ -59,11 +60,8 @@ __all__ = [
     "KernelFacts",
     "LintError",
     "NestFacts",
-    "Recommendation",
     "Rule",
     "Severity",
-    "StridePattern",
-    "VariantPrediction",
     "all_rules",
     "analyze_benchmark",
     "analyze_benchmark_cached",
@@ -77,10 +75,7 @@ __all__ = [
     "has_at_least",
     "compute_kernel_facts",
     "max_severity",
-    "predict_transforms",
     "rank_divergence",
-    "recommend_benchmark",
-    "recommend_compiler",
     "render_kernel_ir",
     "render_text",
     "rule",
@@ -100,17 +95,9 @@ __getattr__ = _lazy_exports(__name__, {
         "InterchangeSummary",
         "KernelFacts",
         "NestFacts",
-        "StridePattern",
         "compute_kernel_facts",
     ),
-    "repro.staticanalysis.divergence": (
-        "Recommendation",
-        "VariantPrediction",
-        "predict_transforms",
-        "rank_divergence",
-        "recommend_benchmark",
-        "recommend_compiler",
-    ),
+    "repro.staticanalysis.divergence": ("rank_divergence",),
     "repro.staticanalysis.driver": (
         "AnalysisCache",
         "AnalysisContext",

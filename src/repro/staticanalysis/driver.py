@@ -7,10 +7,12 @@ the campaign engine's lint gate runs it per benchmark to enforce
 runs it.
 
 The :class:`AnalysisContext` memoizes the expensive shared inputs —
-dependence sets per nest, structural validation per kernel, and the
-fixpoint dataflow facts (:mod:`repro.staticanalysis.dataflow`) — so
-that seven rules reading the same nest pay for one ``nest_dependences``
-call and one facts computation.
+dependence sets per nest, structural validation per kernel, the
+fixpoint dataflow facts (:mod:`repro.staticanalysis.dataflow`), and
+each study variant's compile of a kernel (the divergence rules' input)
+— so that the rules reading the same nest pay for one
+``nest_dependences`` call, one facts computation, and one compile per
+variant.
 
 Two caches sit above the context memos, both used by the engine's lint
 gate:
@@ -32,15 +34,19 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from repro import telemetry
 from repro.caching import ContentStore, IdentityMemo
+from repro.compilers.base import CompiledKernel
+from repro.compilers.registry import STUDY_VARIANTS
 from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
 from repro.ir.validate import validate_kernel
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
+from repro.perf import cost
 from repro.perf.cost import kernel_fingerprint, machine_fingerprint
 from repro.staticanalysis.dataflow import compute_kernel_facts
 from repro.staticanalysis.diagnostics import (
@@ -59,7 +65,18 @@ FINDINGS_COUNTER_PREFIX = "lint.findings."
 #: Bump when rules, the dataflow framework, or the divergence analyzer
 #: change what they emit — stale entries then miss instead of serving
 #: findings from an older rule set.
-ANALYSIS_SCHEMA_VERSION = 1
+#: 2: the DIV rules read the compiled kernels instead of replaying the
+#:    passes' gates.
+ANALYSIS_SCHEMA_VERSION = 2
+
+
+def _compile_variants(kernel: Kernel, machine: Machine) -> dict[str, CompiledKernel]:
+    """Each study variant's compile of ``kernel`` at its default flags,
+    through the one compile path (one ``compile`` span per variant)."""
+    return {
+        variant: cost._memoized_compile(variant, kernel, machine, None)
+        for variant in STUDY_VARIANTS
+    }
 
 
 @dataclass
@@ -68,18 +85,15 @@ class AnalysisContext:
 
     Rules receive the context as their second argument and pull the
     dependence sets, the structural-validation findings, the dataflow
-    facts, and machine parameters (cache line size for the stride cost
-    model) from it.
+    facts, each study variant's compile of the kernel, and machine
+    parameters (cache line size for the stride cost model) from it.
     """
 
     machine: Machine = field(default_factory=a64fx)
     _deps: dict = field(default_factory=dict, repr=False)
     _validated: dict = field(default_factory=dict, repr=False)
     _facts: dict = field(default_factory=dict, repr=False)
-    #: (id(kernel), variants) -> per-variant transform predictions
-    #: (:mod:`repro.staticanalysis.divergence` memoizes here so the
-    #: five DIV rules share one gate replay per kernel).
-    _divergence: dict = field(default_factory=dict, repr=False)
+    _compiled: dict = field(default_factory=dict, repr=False)
 
     @property
     def line_bytes(self) -> int:
@@ -115,6 +129,17 @@ class AnalysisContext:
                 kernel, deps=self.deps, line_bytes=self.line_bytes
             )
             self._facts[key] = found
+        return found
+
+    def compiled(self, kernel: Kernel) -> dict[str, CompiledKernel]:
+        """Each study variant's compile of ``kernel`` on this context's
+        machine, fetched once per kernel object (the divergence rules
+        compare them)."""
+        key = id(kernel)
+        found = self._compiled.get(key)
+        if found is None:
+            found = _compile_variants(kernel, self.machine)
+            self._compiled[key] = found
         return found
 
 
@@ -181,11 +206,13 @@ class AnalysisCache:
     Lives beside the engine's kernel cache (``<cache-dir>/analysis``):
     a JSON codec over a :class:`~repro.caching.ContentStore`
     (``analysis_cache.*`` counters).  Keys combine the kernel IR
-    fingerprint, the machine fingerprint, and
-    :data:`ANALYSIS_SCHEMA_VERSION`, so editing a kernel, switching
-    machine models, or upgrading the rule set all miss cleanly.  A
-    corrupt entry is a miss: it is dropped and rewritten by the next
-    :meth:`put`.
+    fingerprint, the machine fingerprint,
+    :data:`ANALYSIS_SCHEMA_VERSION`, and the compiler model's
+    ``CACHE_SCHEMA_VERSION`` (the divergence findings derive from
+    compiled kernels), so editing a kernel, switching machine models,
+    upgrading the rule set, or changing the compiler model all miss
+    cleanly.  A corrupt entry is a miss: it is dropped and rewritten by
+    the next :meth:`put`.
     """
 
     def __init__(self, root: "Path | str") -> None:
@@ -195,8 +222,8 @@ class AnalysisCache:
 
     def key(self, kernel: Kernel, machine: Machine) -> str:
         payload = (
-            f"lint|a{ANALYSIS_SCHEMA_VERSION}|{kernel_fingerprint(kernel)}"
-            f"|{machine_fingerprint(machine)}"
+            f"lint|a{ANALYSIS_SCHEMA_VERSION}|c{cost.CACHE_SCHEMA_VERSION}"
+            f"|{kernel_fingerprint(kernel)}|{machine_fingerprint(machine)}"
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -231,19 +258,21 @@ _BENCH_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(1024)
 _KERNEL_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(4096)
 
 
-def _reemit(kernel_names: "tuple[str, ...]", diags: tuple) -> None:
-    """Emit the lint span/counters for a memo hit.
+def _reemit(kernels: "Iterable[Kernel]", machine: Machine, diags: tuple) -> None:
+    """Emit the lint and compile spans and the finding counters for a
+    memo hit.
 
     Telemetry totals must not depend on what was analyzed before — a
     campaign run after another in the same process (warm memos), or
     over a warm ``<cache-dir>/analysis``, must record the span and
     counter populations of a cold one — so cache hits re-emit exactly
-    what a fresh analysis would have.
+    what a fresh analysis would have, making its memoized compile calls.
     """
-    for name in kernel_names:
-        with telemetry.span(SPAN_LINT, kernel=name, cached=True):
+    for kernel in kernels:
+        with telemetry.span(SPAN_LINT, kernel=kernel.name, cached=True):
+            _compile_variants(kernel, machine)
             for diag in diags:
-                if diag.kernel == name:
+                if diag.kernel == kernel.name:
                     telemetry.count(FINDINGS_COUNTER_PREFIX + diag.rule_id)
 
 
@@ -256,13 +285,13 @@ def _kernel_diags(
     """Kernel findings through memo -> persistent cache -> analysis."""
     diags = _KERNEL_DIAGNOSTICS.get(kernel, machine.name)
     if diags is not None:
-        _reemit((kernel.name,), diags)
+        _reemit((kernel,), machine, diags)
         return diags
     if cache is not None:
         diags = cache.get(kernel, machine)
         if diags is not None:
             # Cross-process hit: telemetry parity with the memo path.
-            _reemit((kernel.name,), diags)
+            _reemit((kernel,), machine, diags)
     if diags is None:
         diags = analyze_kernel(kernel, ctx=ctx, machine=machine if ctx is None else None)
         if cache is not None:
@@ -295,7 +324,7 @@ def analyze_benchmark_cached(
     """
     hit = _BENCH_DIAGNOSTICS.get(benchmark, machine.name)
     if hit is not None:
-        _reemit(tuple(k.name for k in benchmark.kernels()), hit)
+        _reemit(benchmark.kernels(), machine, hit)
         return hit
     ctx = AnalysisContext(machine=machine)
     out: list[Diagnostic] = []

@@ -29,14 +29,15 @@ tests it builds on: inconclusive analysis downgrades a finding to a
 The rules consume the fixpoint dataflow facts of
 :mod:`repro.staticanalysis.dataflow` (via ``ctx.facts(kernel)``)
 instead of walking the IR themselves: one facts computation feeds all
-seven rules plus the cross-compiler divergence analyzer.
+seven rules, and the divergence rules' nest labels, reuse scores and
+interchange costs.
 """
 
 from __future__ import annotations
 
 from repro.ir.kernel import Feature, Kernel
 from repro.ir.types import AccessKind
-from repro.staticanalysis.dataflow import MAX_PERMUTATION_DEPTH, NestFacts
+from repro.staticanalysis.dataflow import NestFacts
 from repro.staticanalysis.diagnostics import Category, Diagnostic, Severity
 from repro.staticanalysis.registry import rule
 
@@ -44,10 +45,6 @@ from repro.staticanalysis.registry import rule
 #: (2x fewer cache lines per innermost iteration) — small reorder wins
 #: are within the noise of the cost model.
 INTERCHANGE_GAIN_THRESHOLD = 2.0
-
-#: Kept as the historical name; the search bound now lives with the
-#: interchange summary in :mod:`repro.staticanalysis.dataflow`.
-_MAX_PERMUTATION_DEPTH = MAX_PERMUTATION_DEPTH
 
 
 # --------------------------------------------------------------------------
@@ -375,9 +372,7 @@ def best_legal_order(facts: NestFacts) -> "tuple[tuple[str, ...], float] | None"
     summary = facts.interchange
     if len(summary.movable) < 2 or summary.cost_original <= 0.0:
         return None
-    order, cost = summary.select(
-        MAX_PERMUTATION_DEPTH, allow_reduction_reorder=True
-    )
+    order, cost = summary.select(allow_reduction_reorder=True)
     if order == summary.original:
         return None
     return order, cost

@@ -84,6 +84,9 @@ class TestVectorize:
         kernel = b.build()
         assert not _info("GNU", kernel, a64fx_machine).vectorized
         assert _info("LLVM", kernel, a64fx_machine).vectorized
+        assert _info("GNU", kernel, a64fx_machine).vector_blocker == (
+            "FP reduction needs fast-math to reassociate")
+        assert _info("LLVM", kernel, a64fx_machine).vector_blocker == ""
 
     def test_gnu_with_fastmath_vectorizes_reduction(self, a64fx_machine):
         from repro.compilers import parse_flags
@@ -101,6 +104,8 @@ class TestVectorize:
         b.nest([("i", 4096)], [b.stmt(update("a", "i"), fadd=1, predicated=True)])
         assert not _info("GNU", b.build(), a64fx_machine).vectorized
         assert _info("FJtrad", b.build(), a64fx_machine).vectorized
+        assert _info("GNU", b.build(), a64fx_machine).vector_blocker == (
+            "no profitable predication of conditional bodies")
 
     def test_gather_capability_gate(self, a64fx_machine):
         b = KernelBuilder("gather", Language.C)
@@ -113,6 +118,8 @@ class TestVectorize:
         fj = _info("FJtrad", b.build(), a64fx_machine)
         assert fj.vectorized and fj.uses_gather
         assert not _info("GNU", b.build(), a64fx_machine).vectorized
+        assert _info("GNU", b.build(), a64fx_machine).vector_blocker == (
+            "indirect streams need hardware gathers")
 
     def test_indirect_write_blocks_everyone(self, a64fx_machine):
         b = KernelBuilder("scatter", Language.C)
@@ -120,6 +127,8 @@ class TestVectorize:
         b.nest([("i", 4096)], [b.stmt(update("h", "i", indirect=True), fadd=1)])
         for variant in ("FJtrad", "FJclang", "LLVM", "GNU"):
             assert not _info(variant, b.build(), a64fx_machine).vectorized
+            assert _info(variant, b.build(), a64fx_machine).vector_blocker == (
+                "scattered read-modify-write (conflict hazard)")
 
     def test_pointer_chasing_blocks_everyone(self, a64fx_machine):
         from repro.suites.kernels_common import pointer_chase
@@ -127,6 +136,9 @@ class TestVectorize:
         k = pointer_chase("pc", 1024)
         for variant in ("FJtrad", "LLVM", "GNU"):
             assert not _info(variant, k, a64fx_machine).vectorized
+        for variant in ("FJtrad", "LLVM"):
+            assert _info(variant, k, a64fx_machine).vector_blocker == (
+                "dependent-load chain")
 
     def test_no_march_native_means_narrow_isa(self, a64fx_machine, stream_kernel):
         from repro.compilers import parse_flags
@@ -139,12 +151,15 @@ class TestVectorize:
 
         info = _info("LLVM", stream_kernel, a64fx_machine, parse_flags(["-O1", "-mcpu=native"]))
         assert not info.vectorized
+        assert info.vector_blocker == "auto-vectorizer off below -O2"
 
     def test_seidel_never_vectorizes(self, a64fx_machine):
         from repro.suites.kernels_common import seidel_sweep
 
         for variant in ("FJtrad", "LLVM", "GNU"):
             assert not _info(variant, seidel_sweep("s", 128), a64fx_machine).vectorized
+            assert _info(variant, seidel_sweep("s", 128), a64fx_machine).vector_blocker == (
+                "carried dependence blocks SIMD")
 
 
 class TestPolly:

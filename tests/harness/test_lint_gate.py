@@ -149,3 +149,41 @@ class TestCacheKeys:
         error = _engine((bench,), LINT_ERROR).campaign_fingerprint()
         assert off != error
         assert off == _engine((bench,), LINT_OFF).campaign_fingerprint()
+
+
+class TestFindingsFollowTheRules:
+    def test_cached_and_replayed_records_carry_current_findings(
+        self, tmp_path, monkeypatch
+    ):
+        """A record replayed from the journal or served from ``cells/``
+        carries the current rule set's findings, not those of the rule
+        set that stored it: the cell key names only the lint policy."""
+        from repro.staticanalysis import driver
+        from repro.staticanalysis.diagnostics import Category, Diagnostic, Severity
+
+        bench = _racy_benchmark()
+        first = _engine((bench,), LINT_WARN, cache_dir=tmp_path).run()
+        stored = first.get("fixture.racer", "GNU").lint
+        assert any(d.rule_id == "RACE001" for d in stored)
+
+        newer = (
+            Diagnostic(
+                rule_id="NEW001",
+                severity=Severity.NOTE,
+                category=Category.PERFORMANCE,
+                message="a finding only a newer rule set makes",
+                kernel="racer_kernel",
+            ),
+        )
+        monkeypatch.setattr(
+            driver, "analyze_benchmark_cached",
+            lambda bench, machine, cache=None: newer,
+        )
+        replayed = _engine(
+            (bench,), LINT_WARN, cache_dir=tmp_path, resume=True
+        ).run()
+        assert replayed.meta["resumed"] == 1
+        assert replayed.get("fixture.racer", "GNU").lint == newer
+        cached = _engine((bench,), LINT_WARN, cache_dir=tmp_path).run()
+        assert cached.meta["cache_hits"] == 1
+        assert cached.get("fixture.racer", "GNU").lint == newer

@@ -273,6 +273,32 @@ class TestCliLint:
         assert main(["lint", "--fail-on", "error"]) == 0
 
 
+class TestAdviseStatic:
+    def test_names_the_cost_models_fastest_variant(self, capsys):
+        """On every benchmark, ``advise-static`` recommends the variant
+        the noise-free cost model finds fastest (first in Figure 2
+        order on ties), and shows failed builds as failed."""
+        import re
+
+        from repro.perf.batch import evaluate_grid
+
+        fastest: dict[str, tuple[str, float]] = {}
+        for cell in evaluate_grid().cells:
+            time_s = cell.best.time_s
+            if cell.benchmark not in fastest or time_s < fastest[cell.benchmark][1]:
+                fastest[cell.benchmark] = (cell.variant, time_s)
+
+        assert main(["advise-static"]) == 0
+        out = capsys.readouterr().out
+        advised = dict(re.findall(r"^(\S+): use (\S+)$", out, re.MULTILINE))
+        assert len(advised) == 108
+        assert advised == {bench: v for bench, (v, _) in fastest.items()}
+        k22 = out.split("micro.k22: use ")[1].split("\n")
+        assert any(
+            "FJclang" in line and "failed (compile-error)" in line for line in k22[:6]
+        )
+
+
 class TestCliTune:
     def test_list_scenarios(self, capsys):
         assert main(["tune", "--list-scenarios"]) == 0

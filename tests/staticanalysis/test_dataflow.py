@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from repro.staticanalysis.dataflow import (
     MUST_DEFINED_LATTICE,
-    RANGE_LATTICE,
-    STRIDE_LATTICE,
     FixpointError,
-    MapLattice,
-    StridePattern,
-    ValueRange,
     solve_forward,
 )
 from repro.suites import all_suites
@@ -32,13 +27,6 @@ PREPORT_RULES = (
 
 # -- lattice law strategies -------------------------------------------------
 
-strides = st.sampled_from(list(StridePattern))
-ranges = st.one_of(
-    st.none(),
-    st.tuples(st.integers(-50, 50), st.integers(0, 50)).map(
-        lambda p: ValueRange(p[0], p[0] + p[1])
-    ),
-)
 defsets = st.one_of(
     st.none(),
     st.frozensets(
@@ -46,13 +34,13 @@ defsets = st.one_of(
         max_size=4,
     ),
 )
-stride_maps = st.dictionaries(st.sampled_from("xyz"), strides, max_size=3)
+
+#: Two distinct must-defined values (the empty set is the top).
+DEF_A = frozenset({("a", ("i",))})
+DEF_B = frozenset({("b", ("j",))})
 
 LATTICES = {
-    "stride": (STRIDE_LATTICE, strides),
-    "range": (RANGE_LATTICE, ranges),
     "must-defined": (MUST_DEFINED_LATTICE, defsets),
-    "map-of-stride": (MapLattice(STRIDE_LATTICE), stride_maps),
 }
 
 
@@ -85,7 +73,7 @@ def test_lattice_laws(name):
 @st.composite
 def graphs(draw):
     """A small graph (cycles allowed) with a monotone constant-join
-    transfer over the stride lattice."""
+    transfer over the must-defined lattice."""
     n = draw(st.integers(1, 8))
     nodes = list(range(n))
     edges = draw(
@@ -94,7 +82,7 @@ def graphs(draw):
             max_size=2 * n,
         )
     )
-    consts = draw(st.lists(strides, min_size=n, max_size=n))
+    consts = draw(st.lists(defsets, min_size=n, max_size=n))
     return nodes, edges, consts
 
 
@@ -108,20 +96,20 @@ def test_fixpoint_terminates_and_is_a_fixpoint(graph):
     succs = {n: tuple(t for s, t in edges if s == n) for n in nodes}
     preds = {n: [s for s, t in edges if t == n] for n in nodes}
 
-    def transfer(n, value):
-        return STRIDE_LATTICE.join(value, consts[n])
+    lattice = MUST_DEFINED_LATTICE
 
-    result = solve_forward(
-        nodes, lambda n: succs[n], transfer, STRIDE_LATTICE
-    )
+    def transfer(n, value):
+        return lattice.join(value, consts[n])
+
+    result = solve_forward(nodes, lambda n: succs[n], transfer, lattice)
     for n in nodes:
-        expect_in = STRIDE_LATTICE.bottom()
+        expect_in = lattice.bottom()
         for p in preds[n]:
-            expect_in = STRIDE_LATTICE.join(expect_in, result.out_values[p])
+            expect_in = lattice.join(expect_in, result.out_values[p])
         assert result.in_values[n] == expect_in
         assert result.out_values[n] == transfer(n, result.in_values[n])
         # Least fixpoint: no node exceeds the join of reachable consts.
-        assert STRIDE_LATTICE.leq(consts[n], result.out_values[n])
+        assert lattice.leq(consts[n], result.out_values[n])
 
 
 def test_non_monotone_transfer_raises():
@@ -129,31 +117,31 @@ def test_non_monotone_transfer_raises():
     instead of spinning forever."""
     def transfer(n, value):
         # Never maps its own output back to itself: the self-loop
-        # below oscillates STRIDED <-> CONTIGUOUS forever.
-        if value == StridePattern.STRIDED:
-            return StridePattern.CONTIGUOUS
-        return StridePattern.STRIDED
+        # below oscillates DEF_A <-> DEF_B forever.
+        if value == DEF_A:
+            return DEF_B
+        return DEF_A
 
     with pytest.raises(FixpointError):
         solve_forward(
             [0],
             lambda n: (0,),  # self-loop
             transfer,
-            STRIDE_LATTICE,
+            MUST_DEFINED_LATTICE,
             max_visits=64,
         )
 
 
 def test_boundary_values_enter_the_solution():
-    boundary = {0: StridePattern.INDIRECT}
+    boundary = {0: DEF_A}
     result = solve_forward(
         [0, 1],
         lambda n: (1,) if n == 0 else (),
         lambda n, v: v,
-        STRIDE_LATTICE,
+        MUST_DEFINED_LATTICE,
         boundary=boundary,
     )
-    assert result.out_values[1] == StridePattern.INDIRECT
+    assert result.out_values[1] == DEF_A
 
 
 # -- port fidelity ----------------------------------------------------------

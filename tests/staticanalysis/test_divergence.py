@@ -1,24 +1,22 @@
-"""Tests for the cross-compiler divergence analyzer.
+"""Tests for the cross-compiler divergence rules.
 
-The headline assertions mirror the paper: DIV001 must statically
-reproduce the 2mm/3mm interchange diagnosis (fcc keeps ijk, the others
-reorder), DIV002 the mvt dead-code outlier, and the best-compiler
-recommendation must agree with the batched cost-model grid on
-PolyBench except for an explicitly justified baseline of near-tie
-disagreements."""
+The headline assertions mirror the paper: DIV001 must reproduce the
+2mm/3mm interchange diagnosis (fcc keeps ijk, the others reorder),
+DIV002 the mvt dead-code outlier.  The rules read the compiled kernels,
+so each one must follow its compiler pass: with the pass switched off,
+its finding changes."""
 
+import pickle
+
+import pytest
+
+from repro.compilers.passes.dce import DeadCodeEliminationPass
+from repro.compilers.passes.interchange import InterchangePass
+from repro.compilers.passes.polyhedral import PolyhedralPass
+from repro.compilers.passes.vectorize import VectorizePass
 from repro.staticanalysis import AnalysisContext, analyze_kernel
-from repro.staticanalysis.divergence import (
-    DIVERGENCE_RULES,
-    STATUS_COMPILE_ERROR,
-    STATUS_RUNTIME_FAULT,
-    grid_best_variants,
-    predict_transforms,
-    rank_divergence,
-    recommend_benchmark,
-    recommend_compiler,
-)
-from repro.suites import get_benchmark, get_suite
+from repro.staticanalysis.divergence import DIVERGENCE_RULES, rank_divergence
+from repro.suites import get_benchmark
 
 
 def _kernel(full_name, kernel_name=None):
@@ -37,47 +35,10 @@ def _div_findings(kernel, ctx=None):
     ]
 
 
-class TestTransformPredictions:
-    def test_2mm_gate_replay(self):
-        """FJ keeps ijk; GNU/LLVM interchange; Polly also tiles."""
-        ctx = AnalysisContext()
-        preds = predict_transforms(_kernel("polybench.2mm"), ctx)
-        for variant in ("FJtrad", "FJclang"):
-            assert all(not n.interchanged for n in preds[variant].nests)
-        for variant in ("GNU", "LLVM", "LLVM+Polly"):
-            assert all(
-                n.order[:2] == ("i", "k") for n in preds[variant].nests
-            ), variant
-        assert all(n.tiled for n in preds["LLVM+Polly"].nests)
-        assert not any(n.tiled for n in preds["LLVM"].nests)
-
-    def test_durbin_vectorization_split(self):
-        """FJ vectorizes durbin in place; GNU/LLVM interchange into a
-        carried dependence and lose SIMD (the 8x empirical gap)."""
-        ctx = AnalysisContext()
-        preds = predict_transforms(_kernel("polybench.durbin"), ctx)
-        assert any(n.vectorized for n in preds["FJtrad"].nests)
-        for variant in ("GNU", "LLVM"):
-            assert not any(n.vectorized for n in preds[variant].nests), variant
-
-    def test_incident_statuses(self):
-        ctx = AnalysisContext()
-        k22 = predict_transforms(_kernel("micro.k22"), ctx)
-        assert k22["FJclang"].status == STATUS_COMPILE_ERROR
-        assert k22["FJtrad"].ok
-        k03 = predict_transforms(_kernel("micro.k03"), ctx)
-        assert k03["GNU"].status == STATUS_RUNTIME_FAULT
-
-    def test_mvt_dce(self):
-        ctx = AnalysisContext()
-        preds = predict_transforms(_kernel("polybench.mvt"), ctx)
-        assert preds["LLVM+Polly"].eliminated
-        assert not preds["LLVM"].eliminated
-
-    def test_memoized_on_context(self):
-        ctx = AnalysisContext()
-        kernel = _kernel("polybench.2mm")
-        assert predict_transforms(kernel, ctx) is predict_transforms(kernel, ctx)
+def _rule_findings(full_name, rule_id):
+    return [
+        d for d in _div_findings(_kernel(full_name)) if d.rule_id == rule_id
+    ]
 
 
 class TestDivergenceRules:
@@ -121,6 +82,21 @@ class TestDivergenceRules:
         ]
         assert any("GNU" in d.message for d in k03)
 
+    def test_div004_durbin_vectorization_split(self):
+        """FJ vectorizes durbin in place; GNU/LLVM interchange into a
+        carried dependence and lose SIMD (the 8x empirical gap), and
+        the finding names the vectorizer's reason."""
+        (finding,) = _rule_findings("polybench.durbin", "DIV004")
+        assert "vectorizes under FJclang, FJtrad" in finding.message
+        assert "scalar under GNU, LLVM, LLVM+Polly" in finding.message
+        assert "(carried dependence blocks SIMD)" in finding.message
+
+    def test_fused_nest_is_compared_through_its_host(self):
+        """LLVM+Polly fuses adi's second nest into its first and tiles
+        the result, so the second nest's statements run tiled."""
+        nests = {d.nest for d in _rule_findings("polybench.adi", "DIV005")}
+        assert {"nest0", "nest1"} <= nests
+
     def test_ranking_puts_incidents_before_notes(self):
         ctx = AnalysisContext()
         findings = []
@@ -138,71 +114,38 @@ class TestDivergenceRules:
         assert set(DIVERGENCE_RULES) <= ids
 
 
-class TestRecommendation:
-    def test_2mm_prefers_an_interchanging_compiler(self):
-        rec = recommend_compiler(_kernel("polybench.2mm"), AnalysisContext())
-        assert rec.variant in ("GNU", "LLVM", "LLVM+Polly")
-        assert rec.scores[rec.variant] < rec.scores["FJtrad"]
-        assert rec.ranking()[0] == rec.variant
-
-    def test_broken_variant_is_disqualified(self):
-        rec = recommend_compiler(_kernel("micro.k22"), AnalysisContext())
-        assert rec.scores["FJclang"] == float("inf")
-        assert rec.variant != "FJclang"
-        assert rec.reasons["FJclang"] == "does not compile"
-
-    def test_benchmark_recommendation_sums_kernels(self):
-        rec = recommend_benchmark(get_benchmark("polybench.2mm"), AnalysisContext())
-        assert rec.name == "polybench.2mm"
-        assert set(rec.ranking()) == set(rec.scores)
+def _movers(message):
+    """The variants a DIV001 message names as reordering the nest."""
+    return set(message.split(" while ")[1].split(" reorder to ")[0].split(", "))
 
 
-#: PolyBench benchmarks where the static proxy is allowed to disagree
-#: with the batched cost-model grid, each with the reviewed reason.
-#: Adding an entry here requires the same justification discipline as
-#: adding a lint-baseline entry: explain *why* the static model cannot
-#: see the effect, don't just append the failing name.
-JUSTIFIED_DISAGREEMENTS = {
-    # Grid winner LLVM+Polly by ~1.5% over plain LLVM: the margin is
-    # the tiling-vs-versioning-overhead interplay on a stencil whose
-    # working set barely overflows — below the static proxy's
-    # resolution (it prices tiling with the pass's budget formula but
-    # not the pass's epilogue/prefetch adjustments).
-    "polybench.adi",
-    # Grid winner FJtrad: Fujitsu's memory-scheduling pass *upgrades*
-    # its own memory_schedule_quality (0.55 -> 0.85) and enables
-    # software prefetch on streaming stencils — a second-order,
-    # pass-internal adjustment the gate replay deliberately does not
-    # model.  Margins are ~5%.
-    "polybench.jacobi-1d",
-    # Same mechanism as jacobi-1d (FJclang variant of the memsched
-    # upgrade).
-    "polybench.jacobi-2d",
-}
+def _no_gnu_or_llvm_reorder(findings):
+    return bool(findings) and all(
+        not {"GNU", "LLVM"} & _movers(d.message) for d in findings
+    )
 
 
-class TestGridDifferential:
-    def test_static_recommendation_matches_grid_oracle_on_polybench(self):
-        """Every PolyBench best-variant prediction must equal the
-        evaluate_grid winner, except the justified near-ties above —
-        and those must stay *listed*: a justified benchmark that starts
-        agreeing should be removed from the baseline."""
-        oracle = grid_best_variants(suites=("polybench",))
-        ctx = AnalysisContext()
-        disagreements = {}
-        for bench in get_suite("polybench").benchmarks:
-            rec = recommend_benchmark(bench, ctx)
-            if rec.variant != oracle[bench.full_name]:
-                disagreements[bench.full_name] = (
-                    rec.variant, oracle[bench.full_name]
-                )
-        unexpected = set(disagreements) - JUSTIFIED_DISAGREEMENTS
-        assert not unexpected, (
-            f"static recommendation drifted from the grid oracle on "
-            f"{sorted(unexpected)}: {disagreements}"
-        )
-        resolved = JUSTIFIED_DISAGREEMENTS - set(disagreements)
-        assert not resolved, (
-            f"{sorted(resolved)} now agree with the grid — remove them "
-            f"from JUSTIFIED_DISAGREEMENTS"
-        )
+#: (pass switched off, benchmark, rule, holds on the findings after).
+FOLLOWS_ITS_PASS = [
+    (InterchangePass, "polybench.2mm", "DIV001", _no_gnu_or_llvm_reorder),
+    (VectorizePass, "polybench.durbin", "DIV004", lambda found: not found),
+    (PolyhedralPass, "polybench.2mm", "DIV005", lambda found: not found),
+    (DeadCodeEliminationPass, "polybench.mvt", "DIV002", lambda found: not found),
+]
+
+
+@pytest.mark.parametrize(
+    "pass_cls, bench, rule_id, holds",
+    FOLLOWS_ITS_PASS,
+    ids=[case[0].__name__ for case in FOLLOWS_ITS_PASS],
+)
+def test_each_div_rule_follows_its_pass(monkeypatch, pass_cls, bench, rule_id, holds):
+    """A DIV rule reports what the compiler models did: switch a pass
+    off and its finding follows.  The kernel is a fresh copy, so the
+    identity-keyed compile memo cannot answer with a compile made while
+    the pass still ran."""
+    assert _rule_findings(bench, rule_id)
+    monkeypatch.setattr(pass_cls, "run", lambda self, info, ctx: None)
+    kernel = pickle.loads(pickle.dumps(_kernel(bench)))
+    found = [d for d in _div_findings(kernel) if d.rule_id == rule_id]
+    assert holds(found), found

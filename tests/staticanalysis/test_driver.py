@@ -147,6 +147,18 @@ class TestAnalysisCache:
         cache.put(kernel, a64fx(), analyze_kernel(kernel, machine=a64fx()))
         assert cache.get(kernel, xeon()) is None
 
+    def test_keyed_by_compiler_model_version(self, tmp_path, monkeypatch):
+        """The divergence findings derive from compiled kernels, so a
+        compiler-model bump that turns ``kernels/`` cold turns
+        ``analysis/`` cold too."""
+        from repro.perf import cost
+
+        kernel, machine = racy_kernel(), a64fx()
+        cache = AnalysisCache(tmp_path / "analysis")
+        before = cache.key(kernel, machine)
+        monkeypatch.setattr(cost, "CACHE_SCHEMA_VERSION", cost.CACHE_SCHEMA_VERSION + 1)
+        assert cache.key(kernel, machine) != before
+
     def test_corrupt_entry_is_deleted_and_counted(self, tmp_path):
         kernel = racy_kernel()
         machine = a64fx()
@@ -214,6 +226,31 @@ class TestTelemetry:
         counters = recorder.metrics.snapshot()["counters"]
         race_counter = FINDINGS_COUNTER_PREFIX + "RACE001"
         assert counters.get(race_counter, 0) >= 1
+
+
+class TestTelemetryParity:
+    def test_memo_hit_records_the_spans_of_a_cold_analysis(self):
+        """A cold analysis compiles each study variant once per kernel
+        (one ``compile`` span each); a memo hit makes the same memoized
+        compile calls, so its span population is the cold one's."""
+        from collections import Counter
+
+        from repro.compilers import STUDY_VARIANTS
+        from repro.staticanalysis import driver as driver_mod
+
+        bench, machine = get_benchmark("polybench.2mm"), a64fx()
+        driver_mod._BENCH_DIAGNOSTICS.clear()
+        driver_mod._KERNEL_DIAGNOSTICS.clear()
+        populations = []
+        for _ in range(2):  # cold, then memo-warm
+            recorder = Telemetry()
+            with telemetry.active(recorder):
+                analyze_benchmark_cached(bench, machine)
+            populations.append(Counter(s.name for s in recorder.spans))
+        cold, warm = populations
+        assert cold["compile"] == len(STUDY_VARIANTS) * len(bench.kernels())
+        assert cold[SPAN_LINT] == len(bench.kernels())
+        assert warm == cold
 
 
 class TestWorstSeverity:
