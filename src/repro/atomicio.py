@@ -1,8 +1,8 @@
 """Atomic file replacement: the one temp-file + ``os.replace`` write.
 
 A leaf module (it imports nothing from :mod:`repro`), so every layer —
-the kernel and cell caches, journals, metrics histories, the service
-registry — can share it.  It raises; each caller keeps its own error
+journal headers, metrics histories, the service registry — can share
+it.  It raises; each caller keeps its own error
 policy (raise, or log, count and carry on).
 """
 

@@ -8,14 +8,14 @@ derived again — so no cache failure is raised to the caller.
 from __future__ import annotations
 
 import logging
-import pickle
+import os
+import weakref
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from pathlib import Path
-from typing import Generic, TypeVar
+from typing import BinaryIO, Generic, TypeVar
 
 from repro import telemetry
-from repro.atomicio import atomic_write
 from repro.errors import ReproError
 
 _LOG = logging.getLogger(__name__)
@@ -23,65 +23,102 @@ _LOG = logging.getLogger(__name__)
 T = TypeVar("T")
 
 #: What a decoder may raise on an entry that is not what it wrote:
-#: truncated or garbled JSON and pickles, missing fields, stale classes.
-_DECODE_ERRORS = (
-    ValueError, LookupError, TypeError, AttributeError, EOFError,
-    ImportError, pickle.UnpicklingError, ReproError,
-)
+#: torn or garbled JSON, missing fields, out-of-range values.
+_DECODE_ERRORS = (ValueError, LookupError, TypeError, AttributeError, ReproError)
+
+#: The segment files of a :class:`ContentStore` directory.
+SEGMENT_GLOB = "segment-*.tsv"
 
 
 class ContentStore:
-    """One file per content key, ``<root>/<key><suffix>``; the kernel,
-    cell and lint caches are codecs over it.
+    """Content-keyed text entries, packed into append-only segments;
+    the cell cache is a codec over it.
 
-    A missing entry is a miss.  An entry that does not decode is a miss
-    too: it is deleted, logged and counted as ``<name>.corrupt``.
-    Writes are atomic; a failed one is logged and counted as
-    ``<name>.write_error``, never raised.
+    Each store object appends to a segment of its own,
+    ``<root>/segment-<pid>-<token>.tsv``, one ``<key>\\t<data>`` line
+    per entry, flushed as it is written, so concurrent writers (shards,
+    a killed run and the run that resumes it) never share a file.
+    A reader indexes every segment on its first lookup by splitting
+    lines, without decoding them, and decodes only the entries asked for.
+
+    A missing entry is a miss.  An entry that does not decode, a killed
+    writer's torn last line included, is a miss too: it is dropped from
+    the index, logged and counted as ``<name>.corrupt``.  A failed
+    append is logged and counted as ``<name>.write_error``, never raised.
     """
 
-    def __init__(self, root: "str | Path", name: str, suffix: str) -> None:
+    def __init__(self, root: "str | Path", name: str) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.name = name
-        self.suffix = suffix
-
-    def path(self, key: str) -> Path:
-        return self.root / f"{key}{self.suffix}"
+        #: Undecoded entries by key, read on the first lookup.
+        self._index: "dict[str, bytes] | None" = None
+        self._segment: "BinaryIO | None" = None
 
     def get(self, key: str, decode: Callable[[bytes], T]) -> "T | None":
         """The decoded entry for ``key``, or ``None`` on a miss."""
-        path = self.path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
+        if self._index is None:
+            self._index = self._read_index()
+        data = self._index.get(key)
+        if data is None:
             telemetry.count(f"{self.name}.miss")
             return None
         try:
             value = decode(data)
         except _DECODE_ERRORS:
+            del self._index[key]
             telemetry.count(f"{self.name}.miss")
             telemetry.count(f"{self.name}.corrupt")
-            _LOG.warning("corrupt %s entry %s; dropping it", self.name, path.name)
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            _LOG.warning("corrupt %s entry %s; dropping it", self.name, key)
             return None
         telemetry.count(f"{self.name}.hit")
         return value
 
-    def put(self, key: str, data: "str | bytes") -> bool:
-        """Store ``data`` under ``key``; ``False`` when the write failed."""
-        path = self.path(key)
+    def put(self, key: str, data: str) -> bool:
+        """Append ``data``, one line of text, under ``key``; ``False``
+        when the write failed."""
+        encoded = data.encode()
         try:
-            atomic_write(path, data)
+            if self._segment is None:
+                self._segment = self._open_segment()
+            self._segment.write(b"%s\t%s\n" % (key.encode(), encoded))
+            self._segment.flush()
         except OSError as exc:
-            _LOG.warning("%s: atomic write to %s failed: %s", self.name, path, exc)
+            _LOG.warning("%s: append to %s failed: %s", self.name, self.root, exc)
             telemetry.count(f"{self.name}.write_error")
+            self._drop_segment()  # the next put starts past any torn line
             return False
+        if self._index is not None:
+            self._index[key] = encoded
         telemetry.count(f"{self.name}.put")
         return True
+
+    def _open_segment(self) -> BinaryIO:
+        path = self.root / f"segment-{os.getpid()}-{os.urandom(4).hex()}.tsv"
+        segment = open(path, "xb")
+        weakref.finalize(self, segment.close)
+        return segment
+
+    def _drop_segment(self) -> None:
+        segment, self._segment = self._segment, None
+        if segment is not None:
+            try:
+                segment.close()
+            except OSError:
+                pass  # the unwritten tail is lost with the segment
+
+    def _read_index(self) -> "dict[str, bytes]":
+        index: dict[str, bytes] = {}
+        for segment in sorted(self.root.glob(SEGMENT_GLOB)):
+            try:
+                data = segment.read_bytes()
+            except OSError:
+                continue
+            for line in data.split(b"\n"):
+                key, tab, value = line.partition(b"\t")
+                if tab:
+                    index[key.decode("ascii", "replace")] = value
+        return index
 
 
 class IdentityMemo(Generic[T]):
@@ -89,8 +126,8 @@ class IdentityMemo(Generic[T]):
 
     Each entry pins ``obj``, so its id cannot be reused while the entry
     lives.  Past ``maxsize`` entries the least recently used is evicted,
-    so a process that keeps seeing fresh objects (a pool worker
-    unpickling every chunk) holds at most ``maxsize`` of them.
+    so a process that keeps seeing fresh objects (a pool worker running
+    benchmarks that travel by value) holds at most ``maxsize`` of them.
     """
 
     def __init__(self, maxsize: int) -> None:

@@ -19,7 +19,6 @@ from repro.faults.taxonomy import (
     FAULT_KINDS,
     SITE_CACHE,
     SITE_COMPILE,
-    SITE_KERNEL_CACHE,
     SITE_RUN,
     SITE_TIMEOUT,
     SITE_VERIFY,
@@ -52,7 +51,6 @@ __all__ = [
     "SITES",
     "SITE_CACHE",
     "SITE_COMPILE",
-    "SITE_KERNEL_CACHE",
     "SITE_RUN",
     "SITE_TIMEOUT",
     "SITE_VERIFY",

@@ -55,10 +55,6 @@ SITE_TIMEOUT = "timeout"
 SITE_VERIFY = "verify"
 SITE_WORKER = "worker"
 SITE_CACHE = "cache"
-#: The compiled-kernel cache (``kernels/*.pkl``): a firing rule makes a
-#: disk lookup behave as if the entry rotted away, forcing a
-#: recompilation — never a status change (compilation is deterministic).
-SITE_KERNEL_CACHE = "kernel-cache"
 SITES = (
     SITE_COMPILE,
     SITE_RUN,
@@ -66,7 +62,6 @@ SITES = (
     SITE_VERIFY,
     SITE_WORKER,
     SITE_CACHE,
-    SITE_KERNEL_CACHE,
 )
 
 
@@ -152,7 +147,6 @@ FAULT_FOR_SITE: dict[str, type[Fault]] = {
     SITE_VERIFY: VerificationFault,
     SITE_WORKER: WorkerCrash,
     SITE_CACHE: Fault,  # cache faults only suppress hits; never a status
-    SITE_KERNEL_CACHE: Fault,  # ditto for the compiled-kernel cache
 }
 
 #: Taxonomy name -> class, for :meth:`FailureInfo.from_dict` validation.

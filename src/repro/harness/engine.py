@@ -9,25 +9,24 @@ decomposes the grid into :class:`CellTask` s and executes them
 * serially (``workers=1``) in-process, or
 * across worker processes (``concurrent.futures.ProcessPoolExecutor``),
   chunked benchmark-major so a worker reuses compiled kernels across
-  the five variants of a benchmark.
+  the five variants of a benchmark.  The pool lives for the process:
+  the first parallel run starts it and later runs reuse its workers.
+  A registry benchmark crosses the pool boundary by name, so a worker
+  runs the registry's own kernel objects, and a forked worker finds
+  the compiles and features its parent memoized under them.
 
 Because the model (and its lognormal noise, seeded by sha256 of the
 run identity) is fully deterministic, the parallel path produces
 record-for-record identical results to the serial one; records are
 always assembled in canonical (benchmark-major) cell order.
 
-Persistence has three layers, all rooted at ``cache_dir``:
+Persistence has two layers, both rooted at ``cache_dir``:
 
-* ``kernels/`` — content-addressed :class:`CompiledKernel` pickles
-  (see :func:`repro.perf.cost.compilation_cache_key`), shared by all
-  workers and all later runs; reading one back costs about what
-  compiling it does, so this layer saves no time (``docs/ENGINE.md``
-  §Cache layout);
 * ``cells/``   — content-addressed finished-cell records keyed by
   :func:`cell_cache_key`, so re-runs and flag ablations skip unchanged
-  cells entirely (zero model re-evaluations on a warm cache);
-  both caches are codecs over one :class:`repro.caching.ContentStore`,
-  with one policy for corrupt entries and failed writes;
+  cells entirely (zero model re-evaluations on a warm cache); a codec
+  over :class:`repro.caching.ContentStore`, which packs the entries
+  into one append-only segment per writer;
 * ``journal.jsonl`` / ``journal-<i>of<n>.jsonl`` — append-only
   per-(campaign, shard) journals (:mod:`repro.harness.journalstore`);
   an interrupted campaign resumes (``resume=True``) by replaying the
@@ -46,6 +45,7 @@ boundary), cache hit/miss counters, and a cell-latency histogram; see
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import enum
 import hashlib
@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING
 from repro.caching import ContentStore, IdentityMemo
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
-from repro.errors import HarnessError
+from repro.errors import HarnessError, SuiteError
 from repro.faults.plan import FaultInjector, FaultPlan, RetryPolicy
 from repro.faults.taxonomy import SITE_CACHE, SITE_WORKER
 from repro.harness.journalstore import (
@@ -99,7 +99,7 @@ from repro.perf.cost import (
     machine_fingerprint,
 )
 from repro.suites.base import Benchmark, Suite
-from repro.suites.registry import all_suites
+from repro.suites.registry import all_suites, get_benchmark
 from repro import telemetry
 from repro.telemetry import StructuredLogger, Telemetry, telemetry_block
 from repro.telemetry.history import (
@@ -315,7 +315,7 @@ class CellCache:
     counters; corrupt entries are dropped, failed writes counted)."""
 
     def __init__(self, root: "str | Path") -> None:
-        self.store = ContentStore(root, "cell_cache", ".json")
+        self.store = ContentStore(root, "cell_cache")
         self.root = self.store.root
 
     def get(self, key: str) -> RunRecord | None:
@@ -340,7 +340,12 @@ class CellCache:
 
 @dataclass(frozen=True)
 class CellTask:
-    """One independent unit of campaign work."""
+    """One independent unit of campaign work.
+
+    A registry benchmark pickles as its name and unpickles as the
+    registry's own object, so a pool worker meets the kernel objects
+    its memos are keyed on; any other benchmark (kernel JSON files,
+    ad-hoc ones) travels by value."""
 
     index: int
     benchmark: Benchmark
@@ -349,6 +354,23 @@ class CellTask:
     @property
     def name(self) -> tuple[str, str]:
         return (self.benchmark.full_name, self.variant)
+
+    def __reduce__(self):
+        if _in_registry(self.benchmark):
+            return _registry_task, (self.index, self.benchmark.full_name,
+                                    self.variant)
+        return CellTask, (self.index, self.benchmark, self.variant)
+
+
+def _in_registry(bench: Benchmark) -> bool:
+    try:
+        return get_benchmark(bench.full_name) is bench
+    except SuiteError:
+        return False
+
+
+def _registry_task(index: int, name: str, variant: str) -> CellTask:
+    return CellTask(index, get_benchmark(name), variant)
 
 
 @dataclass(frozen=True)
@@ -365,8 +387,6 @@ class CellChunk:
     tasks: tuple[CellTask, ...]
     runs: int = PERFORMANCE_RUNS
     flags: CompilerFlags | None = None
-    #: Persistent kernel-cache directory (``None``: memory only).
-    kernel_dir: str | None = None
     retry: RetryPolicy = RetryPolicy()
     timeout_s: float | None = None
     plan: FaultPlan | None = None
@@ -408,6 +428,11 @@ def _run_chunk(
 ) -> "tuple[list[tuple[int, CellOutcome]], dict | None, list[dict] | None]":
     """Execute one chunk of cell tasks inside a worker process.
 
+    Registry cells arrive by name (:class:`CellTask`), so the chunk runs
+    the registry's own kernel objects: a forked worker finds their
+    compiles and features in the memos it inherited, and any worker
+    keeps what it compiles for every later chunk.
+
     With ``telemetry_on``, the chunk records its cell spans and
     metrics into a fresh in-worker :class:`Telemetry` and ships its
     snapshot back alongside the outcomes; the parent merges it into the
@@ -431,9 +456,7 @@ def _run_chunk(
                                     task.variant, chunk.attempt)
             if crash is not None:
                 os._exit(3)  # simulate the worker dying mid-chunk
-    # One cache per chunk: the chunk's kernels were unpickled afresh, so
-    # nothing an earlier chunk cached in memory can belong to them.
-    cache = CompilationCache(persist_dir=chunk.kernel_dir, injector=injector)
+    cache = CompilationCache()
     tel = Telemetry() if chunk.telemetry_on else None
     logger = StructuredLogger() if chunk.log_ctx is not None else None
     with telemetry.active(tel), telemetry.logging_active(logger):
@@ -447,19 +470,22 @@ def _run_chunk(
     )
 
 
-#: Broken pools a :class:`WorkerPool` replaces before it is exhausted.
+#: Broken pools a :class:`WorkerPool` replaces in one campaign run
+#: before it is exhausted.
 MAX_WORKER_RESTARTS = 3
 
 
 class WorkerPool:
-    """The engine's and the service's process pool, started by the first
-    :meth:`submit`, and their one crash policy: report a chunk a dead
-    worker lost to :meth:`lost`, then submit it at ``attempt + 1``; a
-    ``None`` back (no workers, or :attr:`exhausted`) means run it in-process."""
+    """A process pool started by the first :meth:`submit` (the engine
+    keeps one for the life of the process, the service one for its
+    own), and the one crash policy: report a chunk a dead worker lost
+    to :meth:`lost`, then submit it at ``attempt + 1``; a ``None`` back
+    (no workers, or :attr:`exhausted`) means run it in-process."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        #: Pools replaced because a dead worker broke them.
+        #: Pools replaced because a dead worker broke them (the engine
+        #: counts them per run).
         self.restarts = 0
         self._pool: "ProcessPoolExecutor | None" = None
         #: The current pool's futures: a loss replaces their pool once.
@@ -500,6 +526,35 @@ class WorkerPool:
             self._pool, self._futures = None, weakref.WeakSet()
 
 
+#: The engine's pool, kept for the life of the process (the service
+#: keeps its own).
+_ENGINE_POOL: "WorkerPool | None" = None
+
+
+def _engine_pool(workers: int) -> WorkerPool:
+    """The process's engine pool for a run with ``workers``: the first
+    parallel run starts it, a later one with the same count reuses it,
+    one with another count replaces it.  Each run gets the full restart
+    budget, so a run that exhausted the pool hands the next a fresh one."""
+    global _ENGINE_POOL
+    if _ENGINE_POOL is None or _ENGINE_POOL.workers != workers:
+        shutdown_engine_pool()
+        _ENGINE_POOL = WorkerPool(workers)
+    _ENGINE_POOL.restarts = 0
+    return _ENGINE_POOL
+
+
+def shutdown_engine_pool() -> None:
+    """Stop the process's engine pool and its workers, if it has one."""
+    global _ENGINE_POOL
+    pool, _ENGINE_POOL = _ENGINE_POOL, None
+    if pool is not None:
+        pool.shutdown()
+
+
+atexit.register(shutdown_engine_pool)
+
+
 # -- the engine ----------------------------------------------------------
 
 
@@ -511,8 +566,9 @@ class CampaignEngine:
 
     ``workers``
         1 (default) runs the deterministic serial loop in-process;
-        N > 1 fans cells out over a process pool.  Both paths produce
-        identical :class:`CampaignResult` records.
+        N > 1 fans cells out over the process's pool of N workers,
+        which later runs reuse.  Both paths produce identical
+        :class:`CampaignResult` records.
     ``cache_dir``
         Root of the persistent caches and the journal.  ``None``
         disables persistence (pure in-memory run).
@@ -970,7 +1026,6 @@ class CampaignEngine:
                      from_cache=True, message="resumed from journal")
 
         cell_cache = CellCache(self.cache_dir / "cells") if self.cache_dir else None
-        kernel_dir = self.cache_dir / "kernels" if self.cache_dir else None
         cell_keys = self.cell_keys(tasks) if cell_cache is not None else {}
         pending: list[CellTask] = []
         for task in tasks:
@@ -1030,10 +1085,9 @@ class CampaignEngine:
 
         try:
             if self.workers == 1 or len(pending) <= 1:
-                self._run_serial(pending, kernel_dir, finish_outcome, send)
+                self._run_serial(pending, finish_outcome, send)
             else:
-                self._run_parallel(pending, kernel_dir, finish_outcome, send,
-                                   tel, root, stats)
+                self._run_parallel(pending, finish_outcome, send, tel, root, stats)
         finally:
             if journal is not None and len(done) < total:
                 journal.close()  # keep the partial journal for --resume
@@ -1106,22 +1160,12 @@ class CampaignEngine:
         if self.lint_policy == LINT_OFF:
             return {}, set()
         from repro.staticanalysis.diagnostics import Severity, has_at_least
-        from repro.staticanalysis.driver import (
-            AnalysisCache,
-            analyze_benchmark_cached,
-        )
+        from repro.staticanalysis.driver import analyze_benchmark_cached
 
-        # The persistent analysis cache lives beside the kernel cache so
-        # resumed/sharded campaigns skip re-analysis, not just re-runs.
-        cache = (
-            AnalysisCache(self.cache_dir / "analysis")
-            if self.cache_dir is not None
-            else None
-        )
         diags: dict[str, tuple] = {}
         blocked: set[str] = set()
         for bench in self.benchmarks:
-            found = analyze_benchmark_cached(bench, self.machine, cache)
+            found = analyze_benchmark_cached(bench, self.machine)
             if found:
                 diags[bench.full_name] = found
             if self.lint_policy == LINT_ERROR and has_at_least(found, Severity.ERROR):
@@ -1145,13 +1189,12 @@ class CampaignEngine:
             lint=diags,
         )
 
-    def _run_serial(self, tasks, kernel_dir, finish_outcome, send=None) -> None:
+    def _run_serial(self, tasks, finish_outcome, send=None) -> None:
         """Run ``tasks`` in this process, in order.  ``send`` announces
         each cell as it starts; the degraded fallback passes none, its
         cells were announced when they were first queued."""
-        chunk = self._make_chunk(tasks, kernel_dir)
-        cache = CompilationCache(persist_dir=chunk.kernel_dir,
-                                 injector=chunk.injector)
+        chunk = self._make_chunk(tasks)
+        cache = CompilationCache()
         for task in chunk.tasks:
             if send is not None:
                 send(EventKind.CELL_STARTED, task)
@@ -1171,7 +1214,7 @@ class CampaignEngine:
             chunks.append([t for g in group_list[i : i + per_chunk] for t in g])
         return chunks
 
-    def _make_chunk(self, tasks, kernel_dir, telemetry_on=False) -> CellChunk:
+    def _make_chunk(self, tasks, telemetry_on=False) -> CellChunk:
         log_ctx = None
         if telemetry.active_logger() is not None:
             # The worker re-creates the parent's correlation scope so
@@ -1185,7 +1228,6 @@ class CampaignEngine:
             tasks=tuple(tasks),
             runs=self.runs,
             flags=self.flags,
-            kernel_dir=str(kernel_dir) if kernel_dir else None,
             retry=self.retry_policy,
             timeout_s=self.cell_timeout_s,
             plan=self.fault_plan,
@@ -1193,11 +1235,10 @@ class CampaignEngine:
             log_ctx=log_ctx,
         )
 
-    def _run_parallel(self, pending, kernel_dir, finish_outcome, send,
-                      tel, root, stats) -> None:
-        """Fan chunks out over a :class:`WorkerPool` that lives for this call."""
+    def _run_parallel(self, pending, finish_outcome, send, tel, root, stats) -> None:
+        """Fan chunks out over the process's engine pool."""
         by_index = {t.index: t for t in pending}
-        pool = WorkerPool(self.workers)
+        pool = _engine_pool(self.workers)
         futures: dict[Future, CellChunk] = {}
 
         def dispatch(chunk: CellChunk) -> None:
@@ -1208,13 +1249,13 @@ class CampaignEngine:
             send(EventKind.WORKER_LOST,
                  message=f"worker restart budget ({MAX_WORKER_RESTARTS}) exhausted; "
                  f"running {len(chunk.tasks)} cell(s) in-process")
-            self._run_serial(chunk.tasks, kernel_dir, finish_outcome)
+            self._run_serial(chunk.tasks, finish_outcome)
 
         try:
             for tasks in self._chunk(pending):
                 for task in tasks:
                     send(EventKind.CELL_STARTED, task)
-                dispatch(self._make_chunk(tasks, kernel_dir, tel is not None))
+                dispatch(self._make_chunk(tasks, tel is not None))
             while futures:
                 for future in wait(futures, return_when=FIRST_COMPLETED).done:
                     chunk = futures.pop(future)
@@ -1237,8 +1278,10 @@ class CampaignEngine:
                         parent_log.merge(log_records)
                     for index, outcome in outcomes:
                         finish_outcome(by_index[index], outcome)
-        finally:
-            pool.shutdown()
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
         stats["worker_restarts"] = pool.restarts
         if pool.restarts:
             telemetry.count("engine.worker_restarts", pool.restarts)

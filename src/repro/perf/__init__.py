@@ -17,7 +17,6 @@ from repro.perf.cost import (
     ModelResult,
     UnitBreakdown,
     benchmark_model,
-    compilation_cache_key,
     kernel_fingerprint,
     machine_fingerprint,
     machine_memo_key,
@@ -43,7 +42,6 @@ from repro.perf.traffic import BoundaryTraffic, TrafficReport, nest_traffic
 __all__ = [
     "BoundaryTraffic",
     "CACHE_SCHEMA_VERSION",
-    "compilation_cache_key",
     "kernel_fingerprint",
     "machine_fingerprint",
     "EnergyReport",

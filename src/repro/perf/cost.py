@@ -15,17 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro import telemetry
-from repro.caching import ContentStore, IdentityMemo
+from repro.caching import IdentityMemo
 from repro.compilers.base import CompiledKernel, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import compile_kernel
-from repro.faults.taxonomy import SITE_KERNEL_CACHE
 from repro.ir.serialize import kernel_to_dict
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
@@ -65,14 +62,13 @@ class ModelResult:
         return self.status is CompileStatus.OK
 
 
-#: Bump when the compiler/cost model changes in a way that invalidates
-#: persisted compilation artifacts (content-addressed cache entries).
+#: Mixed into every cell-cache key: bump when the compiler or cost
+#: model changes what a cached cell record would hold.
 #: 2: CompiledKernel grew the ``lint`` field (static-analysis findings).
 #: 3: lint findings now include the cross-compiler divergence rules
 #:    (DIV001-DIV005), so cached ``lint`` tuples are incomplete.
-#: The ``lint`` field has since gone without a bump: a version-3 pickle
-#: still loads, its stray attribute unseen by the fields, ``==`` and
-#: ``repr``, and cell keys mix this number in, so ``cells/`` stays warm.
+#: Neither the ``lint`` field nor the compiled-kernel store it versioned
+#: is left; the number stays so that ``cells/`` keys stay unchanged.
 CACHE_SCHEMA_VERSION = 3
 
 
@@ -88,34 +84,40 @@ def kernel_fingerprint(kernel: object) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+#: ``(fingerprint, memo key)`` of each machine, by identity.  Machine
+#: factories (a64fx() & co.) build a fresh frozen instance per call, so
+#: bare id() keys would miss across sessions, while re-hashing the repr
+#: on every lookup would cost more than the model evaluation it guards.
+_MACHINE_KEYS: "IdentityMemo[tuple[str, str]]" = IdentityMemo(64)
+
+
+def _machine_keys(machine: Machine) -> tuple[str, str]:
+    keys = _MACHINE_KEYS.get(machine)
+    if keys is None:
+        # Machine is a frozen dataclass tree of plain values; its repr
+        # is deterministic and content-complete.
+        digest = hashlib.sha256(repr(machine).encode()).hexdigest()
+        keys = _MACHINE_KEYS.put(
+            machine, value=(digest, f"{machine.name}:{digest}"))
+    return keys
+
+
 def machine_fingerprint(machine: Machine) -> str:
     """Stable content hash of a machine model's configuration."""
-    # Machine is a frozen dataclass tree of plain values; its repr is
-    # deterministic and content-complete.
-    return hashlib.sha256(repr(machine).encode()).hexdigest()
-
-
-#: Machine content keys by identity.  Machine factories (a64fx() & co.)
-#: build a fresh frozen instance per call, so bare id() keys would miss
-#: across sessions while re-hashing the repr on every lookup would cost
-#: more than the model evaluation it guards.
-_MACHINE_KEYS: "IdentityMemo[str]" = IdentityMemo(64)
+    return _machine_keys(machine)[0]
 
 
 def machine_memo_key(machine: Machine) -> str:
-    """Content key for a machine instance, memoized by identity."""
-    key = _MACHINE_KEYS.get(machine)
-    if key is None:
-        key = _MACHINE_KEYS.put(
-            machine, value=f"{machine.name}:{machine_fingerprint(machine)}")
-    return key
+    """Content key for a machine instance: its name and fingerprint."""
+    return _machine_keys(machine)[1]
 
 
 #: Process-global memo of compilations.  Compilation is deterministic,
 #: so equal inputs always produce an equal CompiledKernel; memoizing at
 #: the compile_kernel() call site means per-cache counters
-#: (compile_count, disk_hits, fault_misses) keep their semantics — only
-#: the redundant compilation *work* is skipped.
+#: (compile_count) keep their semantics — only the redundant
+#: compilation *work* is skipped.  A forked pool worker inherits it
+#: warm, and meets the same kernel objects when cells arrive by name.
 _COMPILE_MEMO: "IdentityMemo[CompiledKernel]" = IdentityMemo(2048)
 
 
@@ -147,67 +149,24 @@ def _memoized_compile(
     return _COMPILE_MEMO.put(kernel, *parts, value=compiled)
 
 
-def compilation_cache_key(
-    variant: str,
-    kernel: object,
-    machine: Machine,
-    flags: CompilerFlags | None,
-) -> str:
-    """Content-addressed key for one (variant, kernel, machine, flags)
-    compilation: equal inputs give equal keys across processes and
-    sessions, any change to an input changes the key."""
-    parts = (
-        f"compile|v{CACHE_SCHEMA_VERSION}",
-        variant,
-        kernel_fingerprint(kernel),
-        machine.name,
-        machine_fingerprint(machine),
-        repr(flags),
-    )
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
-
-
 class CompilationCache:
     """Memoizes (variant, kernel, machine, flags) -> CompiledKernel.
 
     A campaign compiles each kernel once per variant but costs it under
-    dozens of placements; this cache keeps the exploration phase fast.
-
-    With ``persist_dir`` set, compiled kernels are additionally stored
-    on disk under their :func:`compilation_cache_key` — a pickle codec
-    over a :class:`~repro.caching.ContentStore` (``kernel_cache.*``
-    counters) — and later runs and sibling worker processes read an
-    unchanged kernel back instead of compiling it.  That saves no time:
-    a read-back costs about what the compile it replaces costs, and a
-    write several times more (measured in ``docs/ENGINE.md`` §Cache
-    layout).  A corrupt entry is dropped, recompiled and rewritten.
-
-    With an ``injector`` attached (chaos runs), a
-    :class:`~repro.faults.plan.FaultRule` aimed at the ``kernel-cache``
-    site makes a disk lookup behave as if the entry had rotted away:
-    the kernel is recompiled (and re-persisted) instead.  Compilation
-    is deterministic, so records never change — only the work done.
+    dozens of placements; this in-memory tier in front of the process
+    compile memo keeps the exploration phase fast.  Nothing is
+    persisted: reading a compiled kernel back from disk cost about what
+    compiling it does, and writing it several times more.
     """
 
-    def __init__(
-        self,
-        persist_dir: "str | Path | None" = None,
-        injector: "object | None" = None,
-    ) -> None:
+    def __init__(self) -> None:
         #: In-memory tier; the bound is far above the full grid's 665
         #: (kernel, variant) pairs.
         self._cache: "IdentityMemo[CompiledKernel]" = IdentityMemo(2048)
-        self.store = (
-            ContentStore(persist_dir, "kernel_cache", ".pkl")
-            if persist_dir is not None else None
-        )
-        #: A :class:`~repro.faults.plan.FaultInjector` (or ``None``)
-        #: consulted at the ``kernel-cache`` site before disk reads.
-        self.injector = injector
         self.compile_count = 0
         self.memory_hits = 0
+        #: Always 0: there is no disk tier.
         self.disk_hits = 0
-        self.fault_misses = 0
 
     def get(
         self,
@@ -222,39 +181,10 @@ class CompilationCache:
             self.memory_hits += 1
             telemetry.count("kernel_cache.memory_hit")
             return compiled
-        stable = None
-        if self.store is not None:
-            stable = compilation_cache_key(variant, kernel, machine, flags)
-            if self._kernel_cache_fault(variant, kernel):
-                # Injected kernel-cache loss (simulated scratch-file
-                # rot): skip the disk entry and recompile below.  The
-                # compile is deterministic, so this costs work, never
-                # correctness.
-                self.fault_misses += 1
-                telemetry.count("kernel_cache.fault")
-                telemetry.count("faults.injected")
-                telemetry.count(f"faults.site.{SITE_KERNEL_CACHE}")
-            else:
-                compiled = self.store.get(stable, pickle.loads)
-                if compiled is not None:
-                    self.disk_hits += 1
-                    return self._cache.put(kernel, *parts, value=compiled)
         compiled = _memoized_compile(variant, kernel, machine, flags)
         self.compile_count += 1
         telemetry.count("kernel_cache.compile")
-        if stable is not None:
-            self.store.put(stable, pickle.dumps(compiled))
         return self._cache.put(kernel, *parts, value=compiled)
-
-    def _kernel_cache_fault(self, variant: str, kernel: object) -> bool:
-        """Did the plan inject a kernel-cache fault for this lookup?"""
-        if self.injector is None:
-            return False
-        name = getattr(kernel, "name", "") or ""
-        return (
-            self.injector.decide(SITE_KERNEL_CACHE, name, variant, 0)
-            is not None
-        )
 
 
 def benchmark_model(

@@ -19,12 +19,11 @@ the in-flight table
     before the cell ran, the waiter re-claims the cell and executes it
     itself — waiters are never stranded.
 
-``kernels/`` (the content-addressed kernel cache)
+the service's worker pool
     Cells are dispatched in benchmark-major batches (all of a
-    benchmark's variants in one pool task), so a worker compiles each
-    kernel once per batch in memory, and persists it.  A later batch
-    that shares the kernel reads it back, which costs about what
-    compiling it does (``docs/ENGINE.md`` §Cache layout).
+    benchmark's variants in one pool task), and a registry benchmark
+    crosses the pool by name, so a worker compiles each kernel once
+    and keeps the compile in its process memo for later batches.
 
 Every campaign checkpoints into its own journal
 (``service/<id>/journal.jsonl``) through the engine's
@@ -193,7 +192,6 @@ class CampaignScheduler:
         self.service_dir = self.cache_dir / "service"
         self.registry = ServiceRegistry(self.service_dir / "campaigns.json")
         self.cell_cache = CellCache(self.cache_dir / "cells")
-        self.kernel_dir = self.cache_dir / "kernels"
         #: 0 = run batches on threads in-process (tests, tiny hosts);
         #: N >= 1 = a lazily-created pool of N worker processes.
         self.workers = workers
@@ -486,7 +484,6 @@ class CampaignScheduler:
             machine=c.machine,
             tasks=tuple(task for task, _key, _fut in batch),
             runs=c.spec.runs,
-            kernel_dir=str(self.kernel_dir),
             attempt=attempt,
             log_ctx=log_ctx,
         )

@@ -21,8 +21,7 @@ catches before burning node-hours.  This package provides that check:
   compiled kernels: what each compiler model actually did;
 * :mod:`~repro.staticanalysis.driver` — ``analyze_kernel`` walking a
   kernel once and dispatching to rules over a memoizing context (which
-  also fetches each variant's compile of the kernel), with an on-disk
-  :class:`~repro.staticanalysis.driver.AnalysisCache`;
+  also fetches each variant's compile of the kernel);
 * :mod:`~repro.staticanalysis.baseline` — the ratcheted lint gate:
   content-addressed finding identities diffed against a committed
   ``lint-baseline.json`` so CI fails only on *new* findings;
@@ -49,7 +48,6 @@ from repro.staticanalysis.diagnostics import (
 from repro.staticanalysis.registry import Rule, all_rules, get_rule, rule, select_rules
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisContext",
     "Baseline",
     "BaselineDiff",
@@ -99,7 +97,6 @@ __getattr__ = _lazy_exports(__name__, {
     ),
     "repro.staticanalysis.divergence": ("rank_divergence",),
     "repro.staticanalysis.driver": (
-        "AnalysisCache",
         "AnalysisContext",
         "analyze_benchmark",
         "analyze_benchmark_cached",

@@ -277,7 +277,9 @@ def vectorization_divergence(kernel: Kernel, ctx) -> "list[Diagnostic]":
 )
 def tiling_divergence(kernel: Kernel, ctx) -> "list[Diagnostic]":
     out: list[Diagnostic] = []
-    for nf, runs in zip(ctx.facts(kernel).nests, _per_nest(kernel, ctx)):
+    facts = ctx.facts(kernel).nests
+    reuse = {f.label: f.reuse for f in facts}
+    for nf, runs in zip(facts, _per_nest(kernel, ctx)):
         tilers = sorted(
             v for v, (_, info) in runs.items() if info.tile_working_set is not None
         )
@@ -286,14 +288,28 @@ def tiling_divergence(kernel: Kernel, ctx) -> "list[Diagnostic]":
         ]
         if not tilers or not others:
             continue
+        # A nest tiled through fusion was tiled for its host's reuse.
+        by_host: dict[str, list[str]] = {}
+        for v in tilers:
+            by_host.setdefault(runs[v][0].label, []).append(v)
+        tiled: list[str] = []
+        for host, variants in by_host.items():
+            what = "this SCoP nest" if not tiled else "it"
+            score = f"temporal reuse {reuse[host]:.2f}"
+            if host != nf.label:
+                what += f" as part of {host}, which it was fused into"
+                score = f"{host}'s {score}"
+            tiled.append(
+                f"{_join(variants)} tile{'s' if len(variants) == 1 else ''} "
+                f"{what} ({score})"
+            )
         out.append(
             Diagnostic(
                 rule_id="DIV005",
                 severity=Severity.NOTE,
                 category=Category.PORTABILITY,
                 message=(
-                    f"{_join(tilers)} tile{'s' if len(tilers) == 1 else ''} "
-                    f"this SCoP nest (temporal reuse {nf.reuse:.2f}) — "
+                    f"{'; '.join(tiled)} — "
                     f"{_join(others)} leave cache blocking to the programmer"
                 ),
                 kernel=kernel.name,

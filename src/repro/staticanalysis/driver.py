@@ -14,30 +14,24 @@ each study variant's compile of a kernel (the divergence rules' input)
 ``nest_dependences`` call, one facts computation, and one compile per
 variant.
 
-Two caches sit above the context memos, both used by the engine's lint
-gate:
-
-* the per-process identity memos (:func:`analyze_kernel_cached`,
-  :func:`analyze_benchmark_cached`, bounded
-  :class:`~repro.caching.IdentityMemo` s), which collapse repeated
-  campaigns in one process, and benchmarks sharing a kernel object, to
-  one analysis per kernel object;
-* the optional persistent :class:`AnalysisCache`, keyed by kernel and
-  machine *content* fingerprints, which survives process boundaries —
-  the engine keeps one beside its kernel cache (``<cache-dir>/
-  analysis``).
+Above the context memos, the engine's lint gate uses per-process
+identity memos (:func:`analyze_kernel_cached`,
+:func:`analyze_benchmark_cached`, bounded
+:class:`~repro.caching.IdentityMemo` s), which collapse repeated
+campaigns in one process, and benchmarks sharing a kernel object, to
+one analysis per kernel object.  Nothing is persisted: a fresh
+process's analysis makes the same compile calls a stored one would
+have to replay for its telemetry, so a store would save only the rule
+walk.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 from repro import telemetry
-from repro.caching import ContentStore, IdentityMemo
+from repro.caching import IdentityMemo
 from repro.compilers.base import CompiledKernel
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.ir.dependence import Dependence, nest_dependences
@@ -47,7 +41,6 @@ from repro.ir.validate import validate_kernel
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
 from repro.perf import cost
-from repro.perf.cost import kernel_fingerprint, machine_fingerprint
 from repro.staticanalysis.dataflow import compute_kernel_facts
 from repro.staticanalysis.diagnostics import (
     Diagnostic,
@@ -60,14 +53,6 @@ from repro.telemetry.recorder import SPAN_LINT
 
 #: Telemetry counter prefix; full names are ``lint.findings.<RULEID>``.
 FINDINGS_COUNTER_PREFIX = "lint.findings."
-
-#: Version of the analysis itself, mixed into persistent cache keys.
-#: Bump when rules, the dataflow framework, or the divergence analyzer
-#: change what they emit — stale entries then miss instead of serving
-#: findings from an older rule set.
-#: 2: the DIV rules read the compiled kernels instead of replaying the
-#:    passes' gates.
-ANALYSIS_SCHEMA_VERSION = 2
 
 
 def _compile_variants(kernel: Kernel, machine: Machine) -> dict[str, CompiledKernel]:
@@ -192,60 +177,6 @@ def analyze_benchmark(
     return dedupe_diagnostics(out)
 
 
-# -- persistent cross-process cache ----------------------------------------
-
-
-def _decode_diagnostics(data: bytes) -> tuple[Diagnostic, ...]:
-    doc = json.loads(data)
-    return tuple(Diagnostic.from_dict(d) for d in doc["diagnostics"])
-
-
-class AnalysisCache:
-    """Persistent per-kernel diagnostics, keyed by content fingerprints.
-
-    Lives beside the engine's kernel cache (``<cache-dir>/analysis``):
-    a JSON codec over a :class:`~repro.caching.ContentStore`
-    (``analysis_cache.*`` counters).  Keys combine the kernel IR
-    fingerprint, the machine fingerprint,
-    :data:`ANALYSIS_SCHEMA_VERSION`, and the compiler model's
-    ``CACHE_SCHEMA_VERSION`` (the divergence findings derive from
-    compiled kernels), so editing a kernel, switching machine models,
-    upgrading the rule set, or changing the compiler model all miss
-    cleanly.  A corrupt entry is a miss: it is dropped and rewritten by
-    the next :meth:`put`.
-    """
-
-    def __init__(self, root: "Path | str") -> None:
-        self.store = ContentStore(root, "analysis_cache", ".json")
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, kernel: Kernel, machine: Machine) -> str:
-        payload = (
-            f"lint|a{ANALYSIS_SCHEMA_VERSION}|c{cost.CACHE_SCHEMA_VERSION}"
-            f"|{kernel_fingerprint(kernel)}|{machine_fingerprint(machine)}"
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def get(self, kernel: Kernel, machine: Machine) -> "tuple[Diagnostic, ...] | None":
-        diags = self.store.get(self.key(kernel, machine), _decode_diagnostics)
-        if diags is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return diags
-
-    def put(
-        self, kernel: Kernel, machine: Machine, diags: tuple[Diagnostic, ...]
-    ) -> None:
-        doc = {
-            "schema": ANALYSIS_SCHEMA_VERSION,
-            "kernel": kernel.name,
-            "diagnostics": [d.to_dict() for d in diags],
-        }
-        self.store.put(self.key(kernel, machine), json.dumps(doc, sort_keys=True))
-
-
 # -- per-process identity memos ---------------------------------------------
 #
 # Findings depend only on the kernel IR and the machine, so memoize by
@@ -263,10 +194,10 @@ def _reemit(kernels: "Iterable[Kernel]", machine: Machine, diags: tuple) -> None
     memo hit.
 
     Telemetry totals must not depend on what was analyzed before — a
-    campaign run after another in the same process (warm memos), or
-    over a warm ``<cache-dir>/analysis``, must record the span and
-    counter populations of a cold one — so cache hits re-emit exactly
-    what a fresh analysis would have, making its memoized compile calls.
+    campaign run after another in the same process (warm memos) must
+    record the span and counter populations of a cold one — so memo
+    hits re-emit exactly what a fresh analysis would have, making its
+    memoized compile calls.
     """
     for kernel in kernels:
         with telemetry.span(SPAN_LINT, kernel=kernel.name, cached=True):
@@ -279,42 +210,28 @@ def _reemit(kernels: "Iterable[Kernel]", machine: Machine, diags: tuple) -> None
 def _kernel_diags(
     kernel: Kernel,
     machine: Machine,
-    cache: "AnalysisCache | None",
     ctx: "AnalysisContext | None",
 ) -> tuple[Diagnostic, ...]:
-    """Kernel findings through memo -> persistent cache -> analysis."""
+    """Kernel findings through the memo, else a fresh analysis."""
     diags = _KERNEL_DIAGNOSTICS.get(kernel, machine.name)
     if diags is not None:
         _reemit((kernel,), machine, diags)
         return diags
-    if cache is not None:
-        diags = cache.get(kernel, machine)
-        if diags is not None:
-            # Cross-process hit: telemetry parity with the memo path.
-            _reemit((kernel,), machine, diags)
-    if diags is None:
-        diags = analyze_kernel(kernel, ctx=ctx, machine=machine if ctx is None else None)
-        if cache is not None:
-            cache.put(kernel, machine, diags)
+    diags = analyze_kernel(kernel, ctx=ctx, machine=machine if ctx is None else None)
     return _KERNEL_DIAGNOSTICS.put(kernel, machine.name, value=diags)
 
 
-def analyze_kernel_cached(
-    kernel: Kernel, machine: Machine, cache: "AnalysisCache | None" = None
-) -> tuple[Diagnostic, ...]:
+def analyze_kernel_cached(kernel: Kernel, machine: Machine) -> tuple[Diagnostic, ...]:
     """Memoized :func:`analyze_kernel` (identity-keyed, per process).
 
     Suite kernels are module-level singletons, so the identity key
     collapses every later analysis of a kernel in this process to one
-    walk.  With ``cache``, a persistent :class:`AnalysisCache` is
-    consulted between the memo and a fresh analysis.
+    walk.
     """
-    return _kernel_diags(kernel, machine, cache, None)
+    return _kernel_diags(kernel, machine, None)
 
 
-def analyze_benchmark_cached(
-    benchmark, machine: Machine, cache: "AnalysisCache | None" = None
-) -> tuple[Diagnostic, ...]:
+def analyze_benchmark_cached(benchmark, machine: Machine) -> tuple[Diagnostic, ...]:
     """Memoized :func:`analyze_benchmark` (identity-keyed, per process).
 
     Composes the per-kernel memo (so benchmarks sharing a kernel share
@@ -329,7 +246,7 @@ def analyze_benchmark_cached(
     ctx = AnalysisContext(machine=machine)
     out: list[Diagnostic] = []
     for kernel in benchmark.kernels():
-        out.extend(_kernel_diags(kernel, machine, cache, ctx))
+        out.extend(_kernel_diags(kernel, machine, ctx))
     return _BENCH_DIAGNOSTICS.put(
         benchmark, machine.name, value=dedupe_diagnostics(out))
 

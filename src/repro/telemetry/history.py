@@ -31,7 +31,7 @@ import os
 import re
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
@@ -93,9 +93,28 @@ class HistorySample:
     histograms: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["kind"] = "sample"
-        return doc
+        # Field by field, in declaration order: ``asdict`` deep-copies
+        # the three dicts, which a once-per-cell sample cannot afford.
+        return {
+            "t": self.t,
+            "elapsed_s": self.elapsed_s,
+            "completed": self.completed,
+            "total": self.total,
+            "executed": self.executed,
+            "cache_hits": self.cache_hits,
+            "resumed": self.resumed,
+            "failures": self.failures,
+            "retried": self.retried,
+            "throughput_cps": self.throughput_cps,
+            "eta_s": self.eta_s,
+            "cache_hit_rate": self.cache_hit_rate,
+            "event": self.event,
+            "cell": self.cell,
+            "counters": self.counters,
+            "gauges": self.gauges,
+            "histograms": self.histograms,
+            "kind": "sample",
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HistorySample":
@@ -155,8 +174,8 @@ class CampaignHistory:
         }
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            existing = self.load()
-            if existing is not None and existing[0] != fingerprint:
+            existing = self._fingerprint()
+            if existing is not None and existing != fingerprint:
                 # Different campaign: replace atomically so no instant
                 # leaves a mixed-campaign series behind.
                 atomic_write(self.path, json.dumps(header) + "\n")
@@ -196,6 +215,18 @@ class CampaignHistory:
             self._fh = None
 
     # -- reading ---------------------------------------------------------
+
+    def _fingerprint(self) -> "str | None":
+        """The campaign fingerprint of the file's first run header: a
+        file holds one campaign's runs (another's replaces it)."""
+        try:
+            with open(self.path) as fh:
+                doc = json.loads(fh.readline())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(doc, dict) or doc.get("kind") != "run":
+            return None
+        return str(doc.get("fingerprint", ""))
 
     def load(self) -> "tuple[str, tuple[int, int], list[HistorySample]] | None":
         """``(fingerprint, shard, samples across all runs)`` or ``None``.

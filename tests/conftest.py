@@ -9,6 +9,18 @@ from repro.ir import KernelBuilder, Language, read, update, write
 from repro.machine import Placement, a64fx, xeon
 
 
+@pytest.fixture
+def fresh_engine_pool():
+    """Shut the process's engine pool down around the test: workers
+    forked earlier would not see what the test patches, and workers
+    forked from a patched process must not outlive the test."""
+    from repro.harness.engine import shutdown_engine_pool
+
+    shutdown_engine_pool()
+    yield
+    shutdown_engine_pool()
+
+
 @pytest.fixture(scope="session")
 def a64fx_machine():
     return a64fx()

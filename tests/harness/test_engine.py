@@ -1,22 +1,26 @@
 """Tests for the parallel campaign engine: cache keys, persistent
 caching, journal/resume, and parallel-vs-serial equivalence."""
 
+import dataclasses
 import json
-import multiprocessing
 import os
+import pickle
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from repro.compilers.flags import GNU_FLAGS, LLVM_FLAGS
+from repro.compilers.flags import GNU_FLAGS
 from repro.errors import HarnessError
 from repro import telemetry
+from repro.caching import SEGMENT_GLOB
 from repro.harness.engine import (
     CampaignEngine,
     CampaignEvent,
     CampaignJournal,
     CellCache,
+    CellTask,
     EventKind,
     benchmark_fingerprint,
     cell_cache_key,
@@ -24,12 +28,8 @@ from repro.harness.engine import (
 from repro.harness.results import CampaignResult, RunRecord, record_to_dict
 from repro.telemetry import SPAN_CELL, Telemetry
 from repro.ir import KernelBuilder, Language, read, update
-from repro.perf.cost import (
-    CompilationCache,
-    compilation_cache_key,
-    kernel_fingerprint,
-)
-from repro.suites import get_suite, micro_suite, top500_suite
+from repro.perf.cost import kernel_fingerprint
+from repro.suites import get_benchmark, get_suite, micro_suite, top500_suite
 
 
 def _gemm(n: int = 64, name: str = "gemm_fp"):
@@ -60,14 +60,6 @@ class TestCacheKeys:
 
     def test_kernel_fingerprint_sensitive_to_content(self):
         assert kernel_fingerprint(_gemm(64)) != kernel_fingerprint(_gemm(65))
-
-    def test_compilation_key_varies_inputs(self, a64fx_machine, xeon_machine):
-        k = _gemm()
-        base = compilation_cache_key("GNU", k, a64fx_machine, GNU_FLAGS)
-        assert base == compilation_cache_key("GNU", _gemm(), a64fx_machine, GNU_FLAGS)
-        assert base != compilation_cache_key("LLVM", k, a64fx_machine, GNU_FLAGS)
-        assert base != compilation_cache_key("GNU", k, a64fx_machine, LLVM_FLAGS)
-        assert base != compilation_cache_key("GNU", k, xeon_machine, GNU_FLAGS)
 
     def test_benchmark_fingerprint_stable(self):
         b1 = micro_suite().benchmarks[0]
@@ -105,56 +97,6 @@ class TestCacheKeys:
             )
             outs.add(proc.stdout)
         assert len(outs) == 1, f"fingerprints vary with hash seed: {outs}"
-
-
-class TestPersistentCompilationCache:
-    def test_disk_round_trip(self, a64fx_machine, tmp_path):
-        k = _gemm()
-        c1 = CompilationCache(persist_dir=tmp_path)
-        compiled = c1.get("GNU", k, a64fx_machine, GNU_FLAGS)
-        assert c1.compile_count == 1
-        # A fresh cache (fresh process in real life) with a *rebuilt*
-        # kernel object hits the disk entry instead of recompiling.
-        c2 = CompilationCache(persist_dir=tmp_path)
-        again = c2.get("GNU", _gemm(), a64fx_machine, GNU_FLAGS)
-        assert c2.compile_count == 0 and c2.disk_hits == 1
-        assert again.status == compiled.status
-        assert [i.applied_passes for i in again.nest_infos] == [
-            i.applied_passes for i in compiled.nest_infos
-        ]
-
-    def test_corrupt_entry_recompiled(self, a64fx_machine, tmp_path):
-        k = _gemm()
-        c1 = CompilationCache(persist_dir=tmp_path)
-        c1.get("GNU", k, a64fx_machine, GNU_FLAGS)
-        for p in tmp_path.glob("*.pkl"):
-            p.write_bytes(b"not a pickle")
-        c2 = CompilationCache(persist_dir=tmp_path)
-        compiled = c2.get("GNU", _gemm(), a64fx_machine, GNU_FLAGS)
-        assert c2.compile_count == 1
-        assert compiled.ok
-
-    def test_corrupt_entry_deleted_and_counted(
-            self, a64fx_machine, tmp_path, monkeypatch):
-        CompilationCache(persist_dir=tmp_path).get(
-            "GNU", _gemm(), a64fx_machine, GNU_FLAGS)
-        (entry,) = tmp_path.glob("*.pkl")
-        entry.write_bytes(entry.read_bytes()[:40])  # a truncated pickle
-
-        def broken_write(path, data):
-            raise OSError(28, "No space left on device")
-
-        # With the rewrite failing too, the dropped entry stays gone.
-        monkeypatch.setattr("repro.caching.atomic_write", broken_write)
-        cache = CompilationCache(persist_dir=tmp_path)
-        tel = Telemetry()
-        with telemetry.active(tel):
-            assert cache.get("GNU", _gemm(), a64fx_machine, GNU_FLAGS).ok
-        assert not entry.exists()
-        counters = tel.metrics.snapshot()["counters"]
-        assert counters.get("kernel_cache.corrupt") == 1
-        assert counters.get("kernel_cache.write_error") == 1
-        assert cache.compile_count == 1
 
 
 class TestEngineSerial:
@@ -231,7 +173,7 @@ class TestCellCacheAndWarmRuns:
         rec = RunRecord("s.b", "s", "GNU", 1, 1, (1.0,))
         cache.put("k1", rec)
         assert cache.get("k1") == rec
-        (tmp_path / "k2.json").write_text("{broken")
+        cache.store.put("k2", "{broken")
         assert cache.get("k2") is None
         assert cache.get("missing") is None
 
@@ -361,20 +303,30 @@ class TestParallelEquivalence:
             a64fx_machine, variants=("GNU", "LLVM"), benchmarks=benches,
             workers=3, cache_dir=tmp_path,
         ).run()
-        assert (tmp_path / "kernels").exists()
-        assert len(list((tmp_path / "cells").glob("*.json"))) == len(parallel.records)
+        # No compiled-kernel store; every record packed into one segment.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cells", "history.jsonl", "journal.jsonl"]
+        (segment,) = (tmp_path / "cells").glob(SEGMENT_GLOB)
+        assert len(segment.read_text().splitlines()) == len(parallel.records)
         serial = CampaignEngine(
             a64fx_machine, variants=("GNU", "LLVM"), benchmarks=benches, workers=1
         ).run()
         assert parallel.records == serial.records
 
 
-class TestWorkerPoolScope:
-    """The engine's pool lives for one ``run()``."""
+def _running(pid: int) -> bool:
+    """Is ``pid`` a live (not zombie) process?"""
+    try:
+        stat = open(f"/proc/{pid}/stat").read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
-    def test_each_run_starts_one_pool_and_leaves_no_worker(
-        self, a64fx_machine, monkeypatch
-    ):
+
+class TestWorkerPoolScope:
+    """The engine's pool lives for the process."""
+
+    def test_runs_share_one_pool(self, a64fx_machine, monkeypatch, fresh_engine_pool):
         import repro.harness.engine as engine_mod
 
         real = engine_mod.ProcessPoolExecutor
@@ -386,15 +338,94 @@ class TestWorkerPoolScope:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", CountingPool)
-        before = {p.pid for p in multiprocessing.active_children()}
-        for runs in (1, 2):
-            CampaignEngine(
-                a64fx_machine, variants=("GNU", "FJtrad"),
-                benchmarks=micro_suite().benchmarks[:6], workers=2,
-            ).run()
-            assert len(starts) == runs
-            assert [p.pid for p in multiprocessing.active_children()
-                    if p.pid not in before] == []
+        kw = dict(variants=("GNU", "FJtrad"), benchmarks=micro_suite().benchmarks[:6])
+        for _ in range(2):
+            CampaignEngine(a64fx_machine, workers=2, **kw).run()
+        assert len(starts) == 1
+        CampaignEngine(a64fx_machine, workers=3, **kw).run()
+        assert len(starts) == 2  # another count replaces it
+
+    def test_escaping_exception_cancels_the_runs_queued_chunks(
+        self, a64fx_machine, monkeypatch, fresh_engine_pool
+    ):
+        import repro.harness.engine as engine_mod
+
+        submitted = []
+        real_submit = engine_mod.WorkerPool.submit
+
+        def recording_submit(self, chunk):
+            submitted.append(real_submit(self, chunk))
+            return submitted[-1]
+
+        monkeypatch.setattr(engine_mod.WorkerPool, "submit", recording_submit)
+
+        def stop(event):
+            if event.kind is EventKind.CELL_FINISHED:
+                raise _StopRun("stopped at the first finished cell")
+
+        kw = dict(suites=(get_suite("polybench"),), variants=("GNU",))
+        with pytest.raises(_StopRun):
+            CampaignEngine(a64fx_machine, workers=2, **kw).run(emit=stop)
+        assert any(future.cancelled() for future in submitted)
+        # The pool outlives the failed run and serves the next one.
+        again = CampaignEngine(a64fx_machine, workers=2, **kw).run()
+        assert again.records == CampaignEngine(a64fx_machine, **kw).run().records
+
+    def test_exited_process_leaves_no_worker(self):
+        prog = (
+            "import json, multiprocessing\n"
+            "from repro.harness.engine import CampaignEngine\n"
+            "from repro.suites import micro_suite\n"
+            "CampaignEngine(benchmarks=micro_suite().benchmarks[:6],\n"
+            "               variants=('GNU', 'FJtrad'), workers=2).run()\n"
+            "print(json.dumps([p.pid for p in multiprocessing.active_children()]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # A worker left running would hold the pipes open past the timeout.
+        proc = subprocess.run([sys.executable, "-c", prog], capture_output=True,
+                              text=True, env=env, check=True, timeout=120)
+        workers = json.loads(proc.stdout.splitlines()[-1])
+        assert len(workers) == 2  # the pool outlived the run ...
+        assert [pid for pid in workers if _running(pid)] == []  # ... not the process
+
+
+class TestCellsByName:
+    """A registry benchmark crosses the pool boundary as its name."""
+
+    def test_registry_task_pickles_as_its_name(self):
+        bench = get_benchmark("polybench.3mm")
+        payload = pickle.dumps(CellTask(7, bench, "GNU"))
+        assert len(payload) < 200
+        task = pickle.loads(payload)
+        assert task.benchmark is bench
+        assert (task.index, task.variant) == (7, "GNU")
+
+    def test_other_benchmarks_travel_by_value(self):
+        registry = get_benchmark("micro.k01")
+        for bench in (
+            dataclasses.replace(registry),  # same name, not the registry's object
+            dataclasses.replace(registry, suite="scratch"),  # unknown suite
+        ):
+            task = pickle.loads(pickle.dumps(CellTask(0, bench, "GNU")))
+            assert task.benchmark == bench
+            assert task.benchmark is not registry
+
+
+class TestWarmWorkers:
+    """Forked workers run the registry's own kernels, so they find the
+    compiles their parent memoized."""
+
+    def test_parallel_run_after_a_serial_one_compiles_nothing(
+        self, a64fx_machine, fresh_engine_pool
+    ):
+        kw = dict(suites=(get_suite("micro"),), variants=("GNU",))
+        serial = CampaignEngine(a64fx_machine, **kw).run()
+        tel = Telemetry()
+        parallel = CampaignEngine(a64fx_machine, workers=2, telemetry=tel, **kw).run()
+        assert parallel.records == serial.records
+        assert parallel.meta["executed"] == len(parallel.records)
+        assert tel.metrics.counter_value("compile.memo_hit") > 0
+        assert tel.metrics.counter_value("compile.count") == 0
 
 
 class TestParallelStartMethods:
@@ -479,24 +510,25 @@ class TestCellCacheCorruption:
         return cache
 
     def test_truncated_json_deleted_and_counted(self, tmp_path):
-        cache = self._put(tmp_path)
-        (tmp_path / "trunc.json").write_text('{"key": "trunc", "record": {"ben')
+        self._put(tmp_path).store.put("trunc", '{"key": "trunc", "record": {"ben')
+        cache = CellCache(tmp_path)
         tel = Telemetry()
         with telemetry.active(tel):
             assert cache.get("trunc") is None
-        assert not (tmp_path / "trunc.json").exists()  # dropped
+            assert cache.get("trunc") is None  # dropped: a plain miss now
         assert tel.metrics.counter_value("cell_cache.corrupt") == 1
-        assert tel.metrics.counter_value("cell_cache.miss") == 1
+        assert tel.metrics.counter_value("cell_cache.miss") == 2
+        assert cache.get("good") is not None
 
     def test_valid_json_missing_runs_is_corrupt(self, tmp_path):
-        cache = self._put(tmp_path)
-        (tmp_path / "norun.json").write_text(
-            json.dumps({"key": "norun", "record": {"benchmark": "s.b"}})
+        self._put(tmp_path).store.put(
+            "norun", json.dumps({"key": "norun", "record": {"benchmark": "s.b"}})
         )
+        cache = CellCache(tmp_path)
         tel = Telemetry()
         with telemetry.active(tel):
             assert cache.get("norun") is None
-        assert not (tmp_path / "norun.json").exists()
+            assert cache.get("norun") is None
         assert tel.metrics.counter_value("cell_cache.corrupt") == 1
 
     def test_hit_miss_put_counters(self, tmp_path):
@@ -514,9 +546,12 @@ class TestCellCacheCorruption:
         benches = micro_suite().benchmarks[:2]
         args = dict(variants=("GNU",), benchmarks=benches, cache_dir=tmp_path)
         CampaignEngine(a64fx_machine, **args).run()
-        entries = sorted((tmp_path / "cells").glob("*.json"))
+        (segment,) = (tmp_path / "cells").glob(SEGMENT_GLOB)
+        entries = segment.read_text().splitlines()
         assert len(entries) == 2
-        entries[0].write_text("{broken")  # disk rot on one entry
+        key = entries[0].split("\t")[0]
+        entries[0] = key + "\t{broken"  # disk rot on one entry
+        segment.write_text("\n".join(entries) + "\n")
         rerun = CampaignEngine(a64fx_machine, **args).run()
         assert rerun.meta["cache_hits"] == 1
         assert rerun.meta["executed"] == 1  # re-ran only the corrupt cell
@@ -540,8 +575,7 @@ class TestJournalReplayEvents:
         lines = journal_path.read_text().splitlines()
         assert json.loads(lines[-1])["kind"] == "done"
         journal_path.write_text("\n".join(lines[:-1]) + "\n")
-        for p in (tmp_path / "cells").glob("*.json"):
-            p.unlink()
+        shutil.rmtree(tmp_path / "cells")
 
         events = []
         resumed = CampaignEngine(a64fx_machine, resume=True, **args).run(

@@ -3,6 +3,7 @@ taxonomy, seed-stable plans, the retrying runner, and the engine's
 chaos behavior (worker loss, cache faults, timeouts, degradation)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -98,8 +99,9 @@ class TestTaxonomy:
 
 class TestFaultPlan:
     def test_rule_validation(self):
-        with pytest.raises(HarnessError):
-            FaultRule(site="bogus")
+        for site in ("bogus", "kernel-cache"):  # no compiled-kernel store left
+            with pytest.raises(HarnessError):
+                FaultRule(site=site)
         with pytest.raises(HarnessError):
             FaultRule(site="run", probability=1.5)
         with pytest.raises(HarnessError):
@@ -476,8 +478,7 @@ class TestEngineChaos:
         lines[middle] = lines[middle][: len(lines[middle]) // 2]
         journal_path.write_text("\n".join(lines[:-2]) + "\n" + lines[-2][:10])
         # Wipe the cell cache so only the journal can restore cells.
-        for entry in (tmp_path / "cells").glob("*.json"):
-            entry.unlink()
+        shutil.rmtree(tmp_path / "cells")
         resumed = self._engine(
             a64fx_machine, cache_dir=tmp_path, resume=True
         ).run()

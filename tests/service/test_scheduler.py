@@ -344,7 +344,7 @@ class TestPoolFailures:
         assert second.stats["executed"] == second.total
 
     def test_failed_dispatch_fails_only_its_campaign(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fresh_engine_pool
     ):
         import repro.harness.engine as engine_mod
 
@@ -378,7 +378,7 @@ class TestPoolFailures:
         assert bob.completed == bob.total
 
     def test_lost_batch_is_resubmitted_at_the_next_attempt(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fresh_engine_pool
     ):
         import repro.harness.engine as engine_mod
         import repro.service.scheduler as mod

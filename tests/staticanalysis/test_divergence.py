@@ -97,6 +97,16 @@ class TestDivergenceRules:
         nests = {d.nest for d in _rule_findings("polybench.adi", "DIV005")}
         assert {"nest0", "nest1"} <= nests
 
+    def test_fused_nest_reports_its_hosts_reuse(self):
+        """gramschmidt's second nest scores 0.00, below the tiling
+        threshold; LLVM+Polly tiled it as part of nest0, for nest0's
+        reuse, and the finding says so."""
+        (finding,) = [d for d in _rule_findings("polybench.gramschmidt", "DIV005")
+                      if d.nest == "nest1"]
+        assert "as part of nest0, which it was fused into" in finding.message
+        assert "(nest0's temporal reuse 0.67)" in finding.message
+        assert "0.00" not in finding.message
+
     def test_ranking_puts_incidents_before_notes(self):
         ctx = AnalysisContext()
         findings = []

@@ -1,7 +1,6 @@
 """Tests for the analysis driver: context memoization, caching,
 telemetry integration, and benchmark-level analysis."""
 
-import os
 import pickle
 
 from repro import telemetry
@@ -17,7 +16,6 @@ from repro.staticanalysis import (
 )
 from repro.staticanalysis.driver import (
     FINDINGS_COUNTER_PREFIX,
-    AnalysisCache,
     analyze_benchmark_cached,
     analyze_kernel_cached,
     worst_severity,
@@ -95,97 +93,6 @@ class TestCachedEntryPoints:
         warm = analyze_benchmark_cached(bench, machine)
         assert warm == cold
         assert len(set(warm)) == len(warm), "duplicate findings re-emitted"
-
-
-class TestAnalysisCache:
-    def test_persistent_round_trip(self, tmp_path):
-        kernel = racy_kernel()
-        machine = a64fx()
-        cache = AnalysisCache(tmp_path / "analysis")
-        assert cache.get(kernel, machine) is None
-        diags = analyze_kernel(kernel, machine=machine)
-        cache.put(kernel, machine, diags)
-        assert cache.get(kernel, machine) == diags
-
-    def test_warm_disk_cache_does_not_duplicate(self, tmp_path):
-        """Regression companion to the memo test above, across the
-        persistent layer: a disk hit must re-emit the findings exactly
-        once."""
-        bench = get_benchmark("polybench.3mm")
-        machine = a64fx()
-        # Every run below must simulate a fresh process: earlier tests in
-        # the session may already have memoized this benchmark, and a memo
-        # hit would bypass the disk cache entirely.
-        from repro.staticanalysis import driver as driver_mod
-
-        driver_mod._BENCH_DIAGNOSTICS.clear()
-        driver_mod._KERNEL_DIAGNOSTICS.clear()
-        cold_cache = AnalysisCache(tmp_path / "analysis")
-        cold = analyze_benchmark_cached(bench, machine, cold_cache)
-        driver_mod._BENCH_DIAGNOSTICS.clear()
-        driver_mod._KERNEL_DIAGNOSTICS.clear()
-        warm_cache = AnalysisCache(tmp_path / "analysis")
-        warm = analyze_benchmark_cached(bench, machine, warm_cache)
-        assert warm == cold
-        assert len(set(warm)) == len(warm)
-        assert warm_cache.hits > 0 and warm_cache.misses == 0
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        kernel = racy_kernel()
-        machine = a64fx()
-        cache = AnalysisCache(tmp_path / "analysis")
-        diags = analyze_kernel(kernel, machine=machine)
-        cache.put(kernel, machine, diags)
-        for entry in (tmp_path / "analysis").rglob("*"):
-            if entry.is_file():
-                entry.write_text("{corrupt")
-        assert cache.get(kernel, machine) is None
-
-    def test_keyed_by_machine(self, tmp_path):
-        kernel = racy_kernel()
-        cache = AnalysisCache(tmp_path / "analysis")
-        cache.put(kernel, a64fx(), analyze_kernel(kernel, machine=a64fx()))
-        assert cache.get(kernel, xeon()) is None
-
-    def test_keyed_by_compiler_model_version(self, tmp_path, monkeypatch):
-        """The divergence findings derive from compiled kernels, so a
-        compiler-model bump that turns ``kernels/`` cold turns
-        ``analysis/`` cold too."""
-        from repro.perf import cost
-
-        kernel, machine = racy_kernel(), a64fx()
-        cache = AnalysisCache(tmp_path / "analysis")
-        before = cache.key(kernel, machine)
-        monkeypatch.setattr(cost, "CACHE_SCHEMA_VERSION", cost.CACHE_SCHEMA_VERSION + 1)
-        assert cache.key(kernel, machine) != before
-
-    def test_corrupt_entry_is_deleted_and_counted(self, tmp_path):
-        kernel = racy_kernel()
-        machine = a64fx()
-        cache = AnalysisCache(tmp_path / "analysis")
-        cache.put(kernel, machine, analyze_kernel(kernel, machine=machine))
-        (entry,) = (tmp_path / "analysis").glob("*.json")
-        entry.write_text('{"diagnostics": [{"rule": "X001"}]}')
-        tel = Telemetry()
-        with telemetry.active(tel):
-            assert cache.get(kernel, machine) is None
-        assert not entry.exists()
-        assert tel.metrics.counter_value("analysis_cache.corrupt") == 1
-        assert cache.misses == 1
-
-    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        def broken_replace(src, dst):
-            raise OSError(28, "No space left on device")
-
-        kernel = racy_kernel()
-        machine = a64fx()
-        cache = AnalysisCache(tmp_path / "analysis")
-        monkeypatch.setattr(os, "replace", broken_replace)
-        tel = Telemetry()
-        with telemetry.active(tel):
-            cache.put(kernel, machine, analyze_kernel(kernel, machine=machine))
-        assert list((tmp_path / "analysis").iterdir()) == []
-        assert tel.metrics.counter_value("analysis_cache.write_error") == 1
 
 
 class TestKernelMemoBound:

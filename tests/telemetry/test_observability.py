@@ -1,6 +1,7 @@
 """Tests for the campaign observatory: structured logs, metrics
 history, Prometheus exposition, and the HTTP endpoint."""
 
+import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -218,6 +219,14 @@ class TestCampaignHistory:
         assert fingerprint == "fp-new"
         assert [s.t for s in samples] == [9.0]
         assert len(CampaignHistory(path).runs()) == 1
+
+    def test_sample_dict_is_the_dataclass_in_field_order(self):
+        sample = _sample(counters={"runner.cells": 2}, gauges={"engine.workers": 2},
+                         histograms={"engine.cell_s": {"count": 1, "total": 0.5}})
+        doc = sample.to_dict()
+        expected = {**dataclasses.asdict(sample), "kind": "sample"}
+        assert list(doc) == list(expected)  # same keys, same line bytes
+        assert json.dumps(doc) == json.dumps(expected)
 
     def test_truncated_trailing_line_skipped(self, tmp_path):
         path = tmp_path / "history.jsonl"
