@@ -477,7 +477,7 @@ def tuning_markdown(tune) -> str:
     Shows the winner against the scenario's calibrated known-best (the
     INT8 SDOT GEMM's hand-tuned 6x4 tile), the per-rung narrowing of
     the candidate population, and where the scores came from
-    (evaluation, journal replay, cache).
+    (evaluation or cache).
     """
     if tune is None:
         return ""
@@ -495,7 +495,6 @@ def tuning_markdown(tune) -> str:
         lines.append(f"- known-best `{tune.known_best_label}`: {verdict}")
     lines.append(
         f"- effort: {tune.evaluations} evaluation(s), "
-        f"{tune.from_journal} journal replay(s), "
         f"{tune.from_cache} cache hit(s)"
     )
     if tune.rungs:

@@ -48,8 +48,9 @@ Quickstart (model grid)::
     The auto-tuning companion (re-exported from :mod:`repro.tuning`):
     search a typed parameter space — placements, compiler variants,
     register-tile sizes — with grid, seeded-random or
-    successive-halving strategies, with journal resume, an
-    evaluation cache and telemetry.  See ``docs/TUNING.md``.
+    successive-halving strategies, with an evaluation cache that
+    finishes a killed search when it is rerun, and telemetry.  See
+    ``docs/TUNING.md``.
 
 Quickstart (auto-tuning)::
 

@@ -39,7 +39,7 @@ Usage::
         [--strategy grid|random|successive-halving]
         [--samples N] [--eta K] [--seed N]
         [--trials N] [--min-trials N]
-        [--cache-dir DIR] [--resume]
+        [--cache-dir DIR]                         # rerun to finish a killed search
         [--out tune.json]                         # (see docs/TUNING.md)
 """
 
@@ -748,7 +748,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         eta=args.eta,
         seed=args.seed,
         cache_dir=args.cache_dir,
-        resume=args.resume,
     )
     recorder = telemetry_mod.Telemetry() if args.metrics else None
     with telemetry_mod.active(recorder):
@@ -770,7 +769,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(f"known     {result.known_best_label}  [{verdict}]")
     print(
         f"effort    {result.evaluations} evaluations, "
-        f"{result.from_journal} from journal, "
         f"{result.from_cache} from cache, {len(result.rungs)} rung(s)"
     )
     for rung in result.rungs:
@@ -1156,11 +1154,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_tune.add_argument(
         "--cache-dir",
-        help="persistent root for the tuning journal and evaluation cache",
-    )
-    p_tune.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted search from its journal in --cache-dir",
+        help="persistent root for the evaluation cache (rerun a killed "
+             "search on it to finish it)",
     )
     p_tune.add_argument(
         "--metrics", action="store_true",

@@ -323,7 +323,7 @@ class CellCache:
 
     def put(self, key: str, record: RunRecord) -> None:
         # A failed write loses only the warm-cache shortcut: the record
-        # is still in memory and in the journal.
+        # is still in memory, and in the journal of a campaign.
         self.store.put(key, json.dumps({"key": key, "record": record_to_dict(record)}))
 
 

@@ -32,9 +32,9 @@ subsystem:
     ``journal-<i>of<N>.jsonl`` next to it.
 
 :func:`open_journal`
-    The resume procedure the engine, the campaign service and the tuner
-    share: replay the merged stream, open the shard's journal
-    append-only, and re-persist what it lacks.
+    The resume procedure the engine and the campaign service share:
+    replay the merged stream, open the shard's journal append-only, and
+    re-persist what it lacks.
 
 :func:`merge_journals` / :class:`MergedJournal`
     Folds any subset of shard journals — plus a legacy single
@@ -407,19 +407,12 @@ def merge_journals(
         )
     if fingerprint is None:
         return None
-    # Canonical cell order for the resumable map; records for cells
-    # outside the header list (a tuning search's later rungs) keep
-    # their merge order at the end rather than being dropped.
-    ordered: dict[CellName, RunRecord] = {}
-    for name in cells:
-        if name in merged:
-            ordered[name] = merged.pop(name)
-    ordered.update(merged)
     return MergedJournal(
         fingerprint=fingerprint,
         machine=machine,
         cells=cells,
-        records=ordered,
+        # Canonical cell order for the resumable map.
+        records={name: merged[name] for name in cells if name in merged},
         shards=tuple(shards),
     )
 
@@ -524,7 +517,7 @@ def open_journal(
     """Open shard ``shard``'s journal of a campaign; returns it with the
     records that resume replays (canonical order, empty on a fresh start).
 
-    The resume procedure the engine, the service and the tuner share.
+    The resume procedure the engine and the service share.
     With ``resume`` the *merged* stream of every journal in ``store`` is
     replayed (raising :class:`HarnessError` when one belongs to another
     campaign), so any node can pick the campaign back up; the shard's
@@ -532,9 +525,7 @@ def open_journal(
     records it lacks, so it alone suffices for the next resume.  A
     fresh start reads nothing and atomically replaces the journal with
     a header-only one.  ``cells`` is the full campaign cell list; a
-    shard replays only its own slice of it, while an unsharded campaign
-    replays every merged record, including records for cells the header
-    does not list (a tuning search's header lists only its first rung).
+    shard replays only its own slice of it.
     """
     shard = validate_shard(shard)
     replayed: dict[CellName, RunRecord] = {}

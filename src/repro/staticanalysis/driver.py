@@ -180,7 +180,9 @@ def analyze_benchmark(
 # -- per-process identity memos ---------------------------------------------
 #
 # Findings depend only on the kernel IR and the machine, so memoize by
-# (object, machine name).  Only the engine's lint gate fills these, in
+# (object, machine content key): the compile memo's key, so two
+# machines that share a name but not their parameters never share
+# findings.  Only the engine's lint gate fills these, in
 # the campaign's own process.  The bounds sit far above the registry's
 # 133 kernels and 108 benchmarks per machine; they bite only for a
 # long-lived caller that keeps linting freshly built kernel objects.
@@ -213,12 +215,13 @@ def _kernel_diags(
     ctx: "AnalysisContext | None",
 ) -> tuple[Diagnostic, ...]:
     """Kernel findings through the memo, else a fresh analysis."""
-    diags = _KERNEL_DIAGNOSTICS.get(kernel, machine.name)
+    machine_key = cost.machine_memo_key(machine)
+    diags = _KERNEL_DIAGNOSTICS.get(kernel, machine_key)
     if diags is not None:
         _reemit((kernel,), machine, diags)
         return diags
     diags = analyze_kernel(kernel, ctx=ctx, machine=machine if ctx is None else None)
-    return _KERNEL_DIAGNOSTICS.put(kernel, machine.name, value=diags)
+    return _KERNEL_DIAGNOSTICS.put(kernel, machine_key, value=diags)
 
 
 def analyze_kernel_cached(kernel: Kernel, machine: Machine) -> tuple[Diagnostic, ...]:
@@ -239,7 +242,8 @@ def analyze_benchmark_cached(benchmark, machine: Machine) -> tuple[Diagnostic, .
     benchmarks whose units share a kernel object report each finding
     once even on warm caches.
     """
-    hit = _BENCH_DIAGNOSTICS.get(benchmark, machine.name)
+    machine_key = cost.machine_memo_key(machine)
+    hit = _BENCH_DIAGNOSTICS.get(benchmark, machine_key)
     if hit is not None:
         _reemit(benchmark.kernels(), machine, hit)
         return hit
@@ -248,7 +252,7 @@ def analyze_benchmark_cached(benchmark, machine: Machine) -> tuple[Diagnostic, .
     for kernel in benchmark.kernels():
         out.extend(_kernel_diags(kernel, machine, ctx))
     return _BENCH_DIAGNOSTICS.put(
-        benchmark, machine.name, value=dedupe_diagnostics(out))
+        benchmark, machine_key, value=dedupe_diagnostics(out))
 
 
 def worst_severity(diags: tuple[Diagnostic, ...]):

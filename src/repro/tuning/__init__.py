@@ -8,8 +8,9 @@ variants, register-tile sizes and unroll factors; a strategy (``grid``,
 seeded ``random``, ``successive-halving``) proposes candidate batches;
 a :class:`~repro.tuning.scenario.Scenario` evaluates them batched and
 noise-free; and :func:`~repro.tuning.tuner.run_tune` adds deterministic
-trial noise, journal-based resume, content-addressed caching and
-telemetry — the campaign engine's guarantees applied to search.
+trial noise, a content-addressed evaluation cache (a killed search is
+finished by rerunning it on the same cache) and telemetry — the
+campaign engine's guarantees applied to search.
 
 The exploration phase's placement candidates, best-of-trials score
 and first-wins tie-break come from :mod:`repro.harness.exploration`

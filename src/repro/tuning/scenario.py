@@ -3,9 +3,9 @@
 A :class:`Scenario` binds a :class:`~repro.tuning.space.SearchSpace` to
 a batched, noise-free evaluation: given many configs, return one
 :class:`Evaluation` (model time, validity, detail) per config, in
-order.  The tuner layers deterministic trial noise, journaling and
-caching on top — scenarios themselves stay pure model arithmetic, so
-they are safe to re-evaluate on resume.
+order.  The tuner layers deterministic trial noise and caching on
+top — scenarios themselves stay pure model arithmetic, so they are
+safe to re-evaluate on a rerun.
 
 :class:`PlacementScenario` is the bridge to the measurement harness: a
 one-axis (or placement × variant) space over a benchmark's exploration
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-#: CompileStatus → journal status string, the same mapping the harness
+#: CompileStatus → record status string, the same mapping the harness
 #: runner uses, so tuning records speak the campaign status vocabulary.
 _STATUS_MAP = {
     CompileStatus.OK: "ok",
@@ -72,7 +72,7 @@ class Evaluation:
 class Scenario:
     """One tunable problem: a space plus its batched evaluation."""
 
-    #: Spec-string identity (also the journal/cache namespace).
+    #: Spec-string identity (also the cache namespace).
     name = "scenario"
     #: Run-to-run variability the tuner's trial noise should model.
     noise_cv = 0.0

@@ -8,7 +8,7 @@ construction: grids enumerate in declared axis order, samples are ranked
 by a seeded content hash (never ``random``/``PYTHONHASHSEED``), and
 labels/digests derive from a canonical rendering, so the same space
 produces the same candidates on every node and every run — the property
-the journal-resume and content-addressed caching layers build on.
+the content-addressed evaluation cache builds on.
 
 The exploration phase's candidate set lives in
 :mod:`repro.harness.exploration` and is re-exported here as
@@ -42,7 +42,7 @@ def render_value(value: object) -> str:
 
     Stable across processes and hash seeds: placements render as
     ``"RxT"``, bools lowercase, everything else through ``str``.  The
-    rendering is the identity used in labels, digests, journal variants
+    rendering is the identity used in labels, digests, record variants
     and cache keys, so it must never depend on object ids or dict/set
     iteration order.
     """
@@ -100,7 +100,7 @@ class Config:
 
     @property
     def label(self) -> str:
-        """Human- and journal-facing identity, e.g. ``mr=6,nr=4``."""
+        """Human- and record-facing identity, e.g. ``mr=6,nr=4``."""
         return ",".join(f"{k}={render_value(v)}" for k, v in self.items)
 
     def values(self) -> dict[str, object]:
@@ -179,7 +179,7 @@ class SearchSpace:
 
     @property
     def fingerprint(self) -> str:
-        """Content hash over every axis (journal/cache identity)."""
+        """Content hash over every axis (cache identity)."""
         parts = [
             f"{p.name}:[{','.join(render_value(c) for c in p.choices)}]"
             for p in self.params

@@ -5,8 +5,8 @@ A strategy is a deterministic co-routine over a :class:`SearchSpace`:
 trial-count fidelity + rung index) and receives one score per candidate
 (lower is better) via ``send``; the generator's return value is the
 winning candidate.  The tuner owns evaluation — scoring through the
-batched model evaluator, journaling, caching — so strategies stay pure
-control flow and replay identically on resume.
+batched model evaluator, caching — so strategies stay pure control
+flow and propose the same batches when a search is rerun.
 
 Tie-breaking is everywhere *first wins under strict* ``<`` in candidate
 order: the exploration phase's :func:`select_best`, re-exported here
@@ -44,7 +44,7 @@ class Candidate:
 
     @property
     def name(self) -> str:
-        """Journal-facing identity: the config label plus fidelity."""
+        """Cache-facing identity: the config label plus fidelity."""
         return f"{self.config.label}@t{self.trials}"
 
 
@@ -52,10 +52,6 @@ class Strategy:
     """Deterministic batch proposer (see module docstring)."""
 
     name = "strategy"
-
-    def describe(self) -> str:
-        """Identity string folded into journal/cache fingerprints."""
-        raise NotImplementedError
 
     def run(self, space: SearchSpace):
         """Generator: yields ``tuple[Candidate, ...]``, receives a
@@ -77,9 +73,6 @@ class GridStrategy(Strategy):
         if trials < 1:
             raise HarnessError(f"trials must be >= 1, got {trials}")
         self.trials = trials
-
-    def describe(self) -> str:
-        return f"grid(trials={self.trials})"
 
     def run(self, space: SearchSpace):
         batch = tuple(
@@ -106,9 +99,6 @@ class RandomStrategy(Strategy):
         self.samples = samples
         self.seed = seed
         self.trials = trials
-
-    def describe(self) -> str:
-        return f"random(samples={self.samples},seed={self.seed},trials={self.trials})"
 
     def run(self, space: SearchSpace):
         batch = tuple(
@@ -156,12 +146,6 @@ class SuccessiveHalvingStrategy(Strategy):
         self.seed = seed
         self.min_trials = min_trials
         self.max_trials = max_trials
-
-    def describe(self) -> str:
-        return (
-            f"successive-halving(initial={self.initial},eta={self.eta},"
-            f"seed={self.seed},trials={self.min_trials}..{self.max_trials})"
-        )
 
     def run(self, space: SearchSpace):
         if self.initial is None or self.initial >= space.size:

@@ -2,22 +2,19 @@
 
 :func:`run_tune` drives one search: the strategy proposes candidate
 batches, the scenario evaluates them noise-free and batched (one
-:func:`~repro.perf.batch.evaluate_placements` call per group), the
-tuner layers the deterministic trial noise on top and journals every
-scored candidate through the same machinery measurement campaigns use:
+:func:`~repro.perf.batch.evaluate_placements` call per group), and
+the tuner layers the deterministic trial noise on top:
 
-* **journal resume** — every (config, fidelity) evaluation appends one
-  :class:`~repro.harness.results.RunRecord` to a
-  :class:`~repro.harness.journalstore.CampaignJournal` under
-  ``<cache_dir>/tuning/<scenario>/``, opened through
-  :func:`~repro.harness.journalstore.open_journal` like a campaign's.
-  A killed search resumed with ``TuneSpec(resume=True)`` replays the
-  journaled records and appends only the remainder — byte-identical to
-  the uninterrupted run.  Resuming a finished search appends nothing.
-* **content-addressed caching** — finished evaluations land in a
-  :class:`~repro.harness.engine.CellCache` keyed by scenario
+* **one store** — every (config, fidelity) evaluation is one
+  :class:`~repro.harness.results.RunRecord` in a
+  :class:`~repro.harness.engine.CellCache` under
+  ``<cache_dir>/tuning/<scenario>/cells/``, keyed by scenario
   fingerprint + candidate identity (strategy-independent, so a random
-  probe warms the successive-halving run that follows).
+  probe warms the successive-halving run that follows).  A killed
+  search is finished by rerunning it on the same cache dir: the rerun
+  reads back what is stored, evaluates only the remainder and leaves
+  the entries of the uninterrupted run.  Rerunning a finished search
+  evaluates and writes nothing.
 * **in-process evaluation** — each batch's pending candidates are
   scored in one batched scenario call in this process.  A search is
   too small to pay for a process pool, so ``TuneSpec.workers`` is
@@ -37,17 +34,12 @@ from pathlib import Path
 from repro import telemetry
 from repro.errors import HarnessError
 from repro.harness.engine import CellCache
-from repro.harness.journalstore import (
-    CampaignJournal,
-    DirectoryJournalStore,
-    open_journal,
-)
 from repro.harness.results import RunRecord
 from repro.machine.machine import Machine
 from repro.perf.noise import noise_multiplier
 from repro.telemetry.recorder import SPAN_TUNE, SPAN_TUNE_RUNG
 from repro.tuning.scenario import Evaluation, Scenario, get_scenario
-from repro.tuning.strategies import Candidate, Strategy, make_strategy
+from repro.tuning.strategies import Candidate, make_strategy
 
 __all__ = [
     "RungSummary",
@@ -58,13 +50,13 @@ __all__ = [
     "run_tune",
 ]
 
-#: Journal/cache format marker for tuning searches.
+#: Cache format marker for tuning searches.
 TUNE_VERSION = 1
 
 
 class TuneInterrupted(HarnessError):
     """Raised by the ``stop_after_evaluations`` kill-switch (CI's
-    mid-search-kill gate); the journal keeps everything appended so far."""
+    mid-search-kill gate); the cache keeps everything stored so far."""
 
 
 @dataclass(frozen=True)
@@ -90,11 +82,8 @@ class TuneSpec:
     eta: int = 3
     #: Seed for sampled populations.
     seed: int = 0
-    #: Root for the tuning journal and evaluation cache; ``None``
-    #: disables persistence (no resume, no cross-run cache).
+    #: Root for the evaluation cache; ``None`` disables persistence.
     cache_dir: "str | Path | None" = None
-    #: Resume an interrupted search from its journal.
-    resume: bool = False
     #: Accepted and ignored: every search evaluates in-process.
     workers: int = 1
 
@@ -123,7 +112,6 @@ class RungSummary:
     trials: int
     configs: int
     evaluated: int
-    from_journal: int
     from_cache: int
     best_label: str
     best_score: float
@@ -143,7 +131,6 @@ class TuneResult:
     best_time_s: float
     best_detail: dict = field(default_factory=dict)
     evaluations: int = 0
-    from_journal: int = 0
     from_cache: int = 0
     rungs: tuple[RungSummary, ...] = ()
     trajectory: tuple[TrajectoryPoint, ...] = ()
@@ -151,7 +138,6 @@ class TuneResult:
     complete: bool = True
     #: The scenario's calibrated answer, when it declares one.
     known_best_label: "str | None" = None
-    journal: "str | None" = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -174,18 +160,15 @@ class TuneResult:
                 "detail": dict(self.best_detail),
             },
             "evaluations": self.evaluations,
-            "from_journal": self.from_journal,
             "from_cache": self.from_cache,
             "complete": self.complete,
             "known_best_label": self.known_best_label,
-            "journal": self.journal,
             "rungs": [
                 {
                     "rung": r.rung,
                     "trials": r.trials,
                     "configs": r.configs,
                     "evaluated": r.evaluated,
-                    "from_journal": r.from_journal,
                     "from_cache": r.from_cache,
                     "best_label": r.best_label,
                     "best_score": r.best_score,
@@ -246,7 +229,7 @@ def candidate_runs(
 def candidate_record(
     scenario: Scenario, candidate: Candidate, evaluation: Evaluation
 ) -> RunRecord:
-    """The journal/cache record for one scored candidate."""
+    """The cache record for one scored candidate."""
     placement = evaluation.placement
     return RunRecord(
         benchmark=_tune_benchmark_name(scenario),
@@ -261,20 +244,6 @@ def candidate_record(
 
 def _record_score(record: RunRecord) -> float:
     return min(record.runs) if record.runs else float("inf")
-
-
-def _search_fingerprint(
-    scenario: Scenario, strategy: Strategy, machine: Machine
-) -> str:
-    """Journal identity: everything that affects the record *sequence*."""
-    parts = (
-        f"tune|v{TUNE_VERSION}",
-        scenario.fingerprint(machine),
-        strategy.describe(),
-        f"cv={scenario.noise_cv!r}",
-        machine.name,
-    )
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
 def _eval_fingerprint(scenario: Scenario, machine: Machine) -> str:
@@ -321,9 +290,10 @@ def run_tune(
 
     Accepts a :class:`TuneSpec`, keyword overrides on top of one, or
     bare keywords.  ``stop_after_evaluations`` is the CI kill-switch:
-    after journaling that many fresh evaluations the search raises
-    :class:`TuneInterrupted`, leaving a journal a ``resume=True`` rerun
-    completes byte-identically.
+    once that many fresh evaluations are in the cache the search raises
+    :class:`TuneInterrupted`, and a rerun on the same ``cache_dir``
+    finishes it with the uninterrupted run's result and cache entries.
+    Without a ``cache_dir`` it never fires.
     """
     from repro.machine.select import resolve_machine
 
@@ -346,162 +316,126 @@ def run_tune(
         min_trials=spec.min_trials,
     )
     space = scenario.space(machine)
-    search_fp = _search_fingerprint(scenario, strategy, machine)
     eval_fp = _eval_fingerprint(scenario, machine)
-    bench_name = _tune_benchmark_name(scenario)
 
-    gen = strategy.run(space)
-    batch = next(gen)
-    journal: "CampaignJournal | None" = None
     cache: "CellCache | None" = None
-    known: dict[str, RunRecord] = {}
     if spec.cache_dir is not None:
         root = Path(spec.cache_dir) / "tuning" / scenario.name.replace(":", "-").replace("/", "-")
         cache = CellCache(root / "cells")
-        # The header lists rung 0; a resume replays every journaled
-        # record, later rungs included.
-        journal, replayed = open_journal(
-            DirectoryJournalStore(root),
-            search_fp,
-            machine.name,
-            [(bench_name, cand.name) for cand in batch],
-            resume=spec.resume,
-        )
-        known = {variant: record for (_bench, variant), record in replayed.items()}
+    # This search's records by candidate name: a survivor proposed again
+    # at the same fidelity is answered here, not counted as a cache hit.
+    known: dict[str, RunRecord] = {}
 
-    evaluations = from_journal = from_cache = 0
+    evaluations = from_cache = 0
     trajectory: list[TrajectoryPoint] = []
     rungs: list[RungSummary] = []
     best_so_far = float("inf")
 
-    try:
-        with telemetry.span(
-            SPAN_TUNE, scenario=scenario.name, strategy=strategy.name
-        ):
-            rung_index = 0
-            while True:
-                rung_trials = batch[0].trials if batch else 0
-                with telemetry.span(
-                    SPAN_TUNE_RUNG,
-                    rung=rung_index,
-                    configs=len(batch),
-                    trials=rung_trials,
-                ):
-                    records: dict[int, RunRecord] = {}
-                    rung_journal = rung_cache = 0
-                    pending: list[int] = []
-                    for i, cand in enumerate(batch):
-                        held = known.get(cand.name)
-                        if held is not None:
-                            records[i] = held
-                            rung_journal += 1
+    gen = strategy.run(space)
+    batch = next(gen)
+    with telemetry.span(
+        SPAN_TUNE, scenario=scenario.name, strategy=strategy.name
+    ):
+        rung_index = 0
+        while True:
+            rung_trials = batch[0].trials if batch else 0
+            with telemetry.span(
+                SPAN_TUNE_RUNG,
+                rung=rung_index,
+                configs=len(batch),
+                trials=rung_trials,
+            ):
+                records: dict[int, RunRecord] = {}
+                rung_cache = 0
+                pending: list[int] = []
+                for i, cand in enumerate(batch):
+                    held = known.get(cand.name)
+                    if held is not None:
+                        records[i] = held
+                        continue
+                    if cache is not None:
+                        hit = cache.get(_cache_key(eval_fp, cand))
+                        if hit is not None:
+                            records[i] = known[cand.name] = hit
+                            rung_cache += 1
+                            telemetry.count("tuner.cache_hits")
                             continue
-                        if cache is not None:
-                            hit = cache.get(_cache_key(eval_fp, cand))
-                            if hit is not None:
-                                records[i] = hit
-                                known[cand.name] = hit
-                                rung_cache += 1
-                                telemetry.count("tuner.cache_hits")
-                                # Cache hits are journaled too, so the
-                                # journal alone replays the search.
-                                if journal is not None:
-                                    journal.append(hit)
-                                continue
-                        pending.append(i)
+                    pending.append(i)
 
-                    fresh = _evaluate_chunk(
-                        scenario, machine, [batch[i] for i in pending]
-                    )
-                    for i, record in zip(pending, fresh):
-                        records[i] = record
-                        known[batch[i].name] = record
-                        evaluations += 1
-                        telemetry.count("tuner.evaluations")
-                        if cache is not None:
-                            cache.put(_cache_key(eval_fp, batch[i]), record)
-                        if journal is not None:
-                            journal.append(record)
-                            if (
-                                stop_after_evaluations is not None
-                                and evaluations >= stop_after_evaluations
-                            ):
-                                raise TuneInterrupted(
-                                    f"stopped after {evaluations} evaluations "
-                                    f"(kill-switch); resume from "
-                                    f"{journal.path}"
-                                )
-
-                    from_journal += rung_journal
-                    from_cache += rung_cache
-                    scores = []
-                    rung_best = float("inf")
-                    rung_best_label = ""
-                    for i, cand in enumerate(batch):
-                        score = _record_score(records[i])
-                        scores.append(score)
-                        if score < best_so_far:
-                            best_so_far = score
-                        if score < rung_best:
-                            rung_best = score
-                            rung_best_label = cand.config.label
-                        trajectory.append(
-                            TrajectoryPoint(
-                                order=len(trajectory),
-                                rung=cand.rung,
-                                label=cand.config.label,
-                                trials=cand.trials,
-                                score=score,
-                                best_so_far=best_so_far,
+                fresh = _evaluate_chunk(
+                    scenario, machine, [batch[i] for i in pending]
+                )
+                for i, record in zip(pending, fresh):
+                    records[i] = known[batch[i].name] = record
+                    evaluations += 1
+                    telemetry.count("tuner.evaluations")
+                    if cache is not None:
+                        cache.put(_cache_key(eval_fp, batch[i]), record)
+                        if (
+                            stop_after_evaluations is not None
+                            and evaluations >= stop_after_evaluations
+                        ):
+                            raise TuneInterrupted(
+                                f"stopped after {evaluations} evaluations "
+                                f"(kill-switch); rerun on {spec.cache_dir} "
+                                f"to finish"
                             )
-                        )
-                    rungs.append(
-                        RungSummary(
-                            rung=rung_index,
-                            trials=rung_trials,
-                            configs=len(batch),
-                            evaluated=len(pending),
-                            from_journal=rung_journal,
-                            from_cache=rung_cache,
-                            best_label=rung_best_label,
-                            best_score=rung_best,
+
+                from_cache += rung_cache
+                scores = []
+                rung_best = float("inf")
+                rung_best_label = ""
+                for i, cand in enumerate(batch):
+                    score = _record_score(records[i])
+                    scores.append(score)
+                    if score < best_so_far:
+                        best_so_far = score
+                    if score < rung_best:
+                        rung_best = score
+                        rung_best_label = cand.config.label
+                    trajectory.append(
+                        TrajectoryPoint(
+                            order=len(trajectory),
+                            rung=cand.rung,
+                            label=cand.config.label,
+                            trials=cand.trials,
+                            score=score,
+                            best_so_far=best_so_far,
                         )
                     )
-                    telemetry.count("tuner.rungs")
-                try:
-                    batch = gen.send(tuple(scores))
-                except StopIteration as stop:
-                    winner: Candidate = stop.value
-                    break
-                rung_index += 1
-        if journal is not None:
-            journal.done()
-    finally:
-        if journal is not None:
-            journal.close()
+                rungs.append(
+                    RungSummary(
+                        rung=rung_index,
+                        trials=rung_trials,
+                        configs=len(batch),
+                        evaluated=len(pending),
+                        from_cache=rung_cache,
+                        best_label=rung_best_label,
+                        best_score=rung_best,
+                    )
+                )
+                telemetry.count("tuner.rungs")
+            try:
+                batch = gen.send(tuple(scores))
+            except StopIteration as stop:
+                winner: Candidate = stop.value
+                break
+            rung_index += 1
 
     known_best = scenario.known_best(machine)
     final = scenario.evaluate((winner.config,), machine)[0]
-    winner_record = known.get(winner.name)
-    best_score = (
-        _record_score(winner_record)
-        if winner_record is not None
-        else min(candidate_runs(scenario, final, winner.trials) or (float("inf"),))
-    )
     return TuneResult(
         scenario=scenario.name,
         strategy=strategy.name,
         machine=machine.name,
         best_label=winner.config.label,
-        best_score=best_score,
+        best_score=_record_score(known[winner.name]),
         best_time_s=final.time_s,
         best_detail=dict(final.detail),
         evaluations=evaluations,
-        from_journal=from_journal,
         from_cache=from_cache,
         rungs=tuple(rungs),
         trajectory=tuple(trajectory),
         known_best_label=known_best.label if known_best else None,
-        journal=str(journal.path) if journal is not None else None,
         meta={"space_size": space.size},
     )

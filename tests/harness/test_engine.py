@@ -22,6 +22,7 @@ from repro.harness.engine import (
     CellCache,
     CellTask,
     EventKind,
+    _run_chunk,
     benchmark_fingerprint,
     cell_cache_key,
 )
@@ -180,6 +181,17 @@ class TestCellCacheAndWarmRuns:
 
 class _StopRun(Exception):
     pass
+
+
+#: Pool workers forked while this holds a ``multiprocessing.Event``
+#: wait on it before each chunk (see :func:`_gated_run_chunk`).
+_CHUNK_GATE = None
+
+
+def _gated_run_chunk(chunk):
+    # The timeout only keeps a broken test from hanging the suite.
+    _CHUNK_GATE.wait(60)
+    return _run_chunk(chunk)
 
 
 class TestJournalResume:
@@ -348,8 +360,17 @@ class TestWorkerPoolScope:
     def test_escaping_exception_cancels_the_runs_queued_chunks(
         self, a64fx_machine, monkeypatch, fresh_engine_pool
     ):
+        import multiprocessing
+
         import repro.harness.engine as engine_mod
 
+        # The workers wait at a closed gate, so no chunk finishes while
+        # the run submits: the two workers hold one chunk each and the
+        # executor's call queue three more, so from the sixth submitted
+        # chunk on every chunk is still queued, whatever the timing.
+        gate = multiprocessing.Event()
+        monkeypatch.setattr(sys.modules[__name__], "_CHUNK_GATE", gate)
+        monkeypatch.setattr(engine_mod, "_run_chunk", _gated_run_chunk)
         submitted = []
         real_submit = engine_mod.WorkerPool.submit
 
@@ -360,12 +381,16 @@ class TestWorkerPoolScope:
         monkeypatch.setattr(engine_mod.WorkerPool, "submit", recording_submit)
 
         def stop(event):
-            if event.kind is EventKind.CELL_FINISHED:
-                raise _StopRun("stopped at the first finished cell")
+            # 30 cells make 8 chunks: this is the last chunk's first cell.
+            if event.kind is EventKind.CELL_STARTED and len(submitted) == 7:
+                raise _StopRun("stopped before the last chunk was submitted")
 
         kw = dict(suites=(get_suite("polybench"),), variants=("GNU",))
-        with pytest.raises(_StopRun):
-            CampaignEngine(a64fx_machine, workers=2, **kw).run(emit=stop)
+        try:
+            with pytest.raises(_StopRun):
+                CampaignEngine(a64fx_machine, workers=2, **kw).run(emit=stop)
+        finally:
+            gate.set()
         assert any(future.cancelled() for future in submitted)
         # The pool outlives the failed run and serves the next one.
         again = CampaignEngine(a64fx_machine, workers=2, **kw).run()

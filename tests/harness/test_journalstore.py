@@ -272,19 +272,17 @@ class TestMerge:
 
 
 class TestOpenJournal:
-    def test_unsharded_resume_replays_records_outside_the_header(self, tmp_path):
-        # A tuning search's header lists only its first rung; the later
-        # rungs' records must replay too.
+    def test_resume_replays_only_the_header_cells(self, tmp_path):
         cells = [("s.a", "GNU"), ("s.b", "GNU")]
         journal = CampaignJournal(tmp_path / "journal.jsonl")
         journal.start("fp", "A64FX", cells)
         journal.append(_record("s.a", "GNU"))
-        journal.append(_record("s.c", "GNU@t3"))
+        journal.append(_record("s.c", "GNU"))
         journal.close()
         journal, replayed = open_journal(
             DirectoryJournalStore(tmp_path), "fp", "A64FX", cells, resume=True)
         journal.close()
-        assert list(replayed) == [("s.a", "GNU"), ("s.c", "GNU@t3")]
+        assert list(replayed) == [("s.a", "GNU")]
 
 
 class _Boom(Exception):

@@ -334,11 +334,16 @@ class TestCliTune:
                 "--cache-dir", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(argv + ["--resume"]) == 0
+        assert main(argv) == 0
         second = capsys.readouterr().out
-        # the resumed run replays the journal and agrees on the winner
+        # the rerun answers every candidate from the cache, same winner
+        assert "effort    0 evaluations, 12 from cache" in second
         best_lines = [l for l in first.splitlines() if l.startswith("best")]
         assert best_lines and best_lines[0] in second
+        # a killed search is rerun: there is nothing to resume
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--resume"])
+        assert exit_info.value.code == 2
 
 
 class TestTuningReport:

@@ -1,6 +1,7 @@
 """Tests for the analysis driver: context memoization, caching,
 telemetry integration, and benchmark-level analysis."""
 
+import dataclasses
 import pickle
 
 from repro import telemetry
@@ -75,6 +76,22 @@ class TestCachedEntryPoints:
         first = analyze_kernel_cached(kernel, a64fx())
         other = analyze_kernel_cached(kernel, xeon())
         assert first is not other
+
+    def test_memos_keyed_by_machine_content_not_name(self):
+        # Same name, other parameters: 64 B L1 lines instead of 256 B.
+        bench = get_benchmark("polybench.gemm")
+        base = a64fx()
+        l1, *rest = base.cache_levels
+        narrow = dataclasses.replace(
+            base, cache_levels=(dataclasses.replace(l1, line_bytes=64), *rest))
+        assert narrow.name == base.name
+        analyze_benchmark_cached(bench, base)
+        expected = analyze_benchmark(bench, machine=narrow)
+        assert expected != analyze_benchmark(bench, machine=base)
+        assert analyze_benchmark_cached(bench, narrow) == expected
+        (kernel,) = bench.kernels()
+        assert analyze_kernel_cached(kernel, narrow) == analyze_kernel(
+            kernel, machine=narrow)
 
     def test_benchmark_cache_identity(self):
         bench = get_benchmark("polybench.2mm")

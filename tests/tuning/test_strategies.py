@@ -184,8 +184,8 @@ class TestSuccessiveHalving:
 
 class TestMakeStrategy:
     def test_builds_each_kind(self):
-        assert make_strategy("grid", trials=5).describe() == "grid(trials=5)"
-        assert "samples=4" in make_strategy("random", samples=4).describe()
+        assert make_strategy("grid", trials=5).trials == 5
+        assert make_strategy("random", samples=4).samples == 4
         sh = make_strategy("successive-halving", trials=3, min_trials=1)
         assert isinstance(sh, SuccessiveHalvingStrategy)
         assert sh.max_trials == 3

@@ -1,10 +1,11 @@
-"""Tests for the tuner: journal resume, caching, workers."""
+"""Tests for the tuner: its evaluation cache, kill and rerun, workers."""
 
 from pathlib import Path
 
 import pytest
 
 from repro import telemetry
+from repro.caching import SEGMENT_GLOB
 from repro.machine import Placement
 from repro.telemetry import Telemetry
 from repro.tuning import (
@@ -85,18 +86,39 @@ class TestRediscovery:
         assert sum(r.configs for r in sh.rungs) < 3 * 60
 
 
+def _cache_entries(cache_dir):
+    """Every ``(key, entry)`` line of the searches' caches under
+    ``cache_dir``, read across segments."""
+    return [
+        tuple(line.split(b"\t", 1))
+        for segment in sorted(Path(cache_dir).glob(f"tuning/*/cells/{SEGMENT_GLOB}"))
+        for line in segment.read_bytes().splitlines()
+    ]
+
+
+def _files(root):
+    """Each file under ``root``: identity, modification time and bytes."""
+    return {
+        path.relative_to(root): (path.stat().st_ino, path.stat().st_mtime_ns,
+                                 path.read_bytes())
+        for path in sorted(Path(root).rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestJournal:
+    """The evaluation cache is a search's one store."""
+
     def test_journaled_run_matches_cacheless(self, tmp_path):
         bare = run_tune(quad_spec())
         stored = run_tune(quad_spec(cache_dir=tmp_path))
-        assert stored.best_label == bare.best_label
-        assert stored.trajectory == bare.trajectory
-        assert stored.journal is not None and Path(stored.journal).exists()
+        assert stored.to_dict() == bare.to_dict()
+        assert [p.name for p in (tmp_path / "tuning" / "quad-test").iterdir()] == [
+            "cells"]
 
-    def test_kill_and_resume_is_byte_identical(self, tmp_path):
+    def test_kill_and_rerun_is_byte_identical(self, tmp_path):
         clean = run_tune(quad_spec(cache_dir=tmp_path / "clean"))
-        # Rung 0 holds 60 candidates: the second kill lands in rung 1,
-        # whose records the journal header does not list.
+        # Rung 0 holds 60 candidates: the second kill lands in rung 1.
         for kill_after in (13, 65):
             killed = tmp_path / f"killed-{kill_after}"
             with pytest.raises(TuneInterrupted):
@@ -104,34 +126,25 @@ class TestJournal:
                     quad_spec(cache_dir=killed),
                     stop_after_evaluations=kill_after,
                 )
-            resumed = run_tune(quad_spec(cache_dir=killed, resume=True))
-            assert resumed.from_journal >= kill_after
-            assert resumed.best_label == clean.best_label
-            assert resumed.trajectory == clean.trajectory
-            assert (
-                Path(resumed.journal).read_bytes()
-                == Path(clean.journal).read_bytes()
-            )
+            rerun = run_tune(quad_spec(cache_dir=killed))
+            assert rerun.best_label == clean.best_label
+            assert rerun.trajectory == clean.trajectory
+            assert rerun.from_cache >= kill_after
+            assert rerun.evaluations + kill_after <= clean.evaluations
+            entries = _cache_entries(killed)
+            assert len(entries) == len(dict(entries))  # none stored twice
+            assert dict(entries) == dict(_cache_entries(tmp_path / "clean"))
 
     def test_replay_of_finished_journal_appends_nothing(self, tmp_path):
         first = run_tune(quad_spec(cache_dir=tmp_path))
-        before = Path(first.journal).read_bytes()
-        replay = run_tune(quad_spec(cache_dir=tmp_path, resume=True))
-        assert replay.complete
-        assert replay.evaluations == 0
-        assert replay.from_journal > 0
-        assert replay.best_label == first.best_label
-        assert Path(replay.journal).read_bytes() == before
-
-    def test_fresh_start_discards_stale_journal(self, tmp_path):
-        first = run_tune(quad_spec(cache_dir=tmp_path))
-        # resume=False must not replay the journal: with the cache dir
-        # shared, the cells still satisfy every lookup, so no fresh
-        # evaluations — but the journal is rebuilt rather than appended.
-        again = run_tune(quad_spec(cache_dir=tmp_path))
-        assert again.evaluations == 0
-        assert again.from_cache > 0
-        assert again.best_label == first.best_label
+        before = _files(tmp_path)
+        rerun = run_tune(quad_spec(cache_dir=tmp_path))
+        assert rerun.complete
+        assert rerun.evaluations == 0
+        assert rerun.from_cache > 0
+        assert rerun.best_label == first.best_label
+        assert rerun.trajectory == first.trajectory
+        assert _files(tmp_path) == before
 
 
 class TestCache:
@@ -146,7 +159,6 @@ class TestCache:
 
     def test_cacheless_spec_keeps_no_state(self):
         result = run_tune(quad_spec())
-        assert result.journal is None
         assert result.from_cache == 0
 
 

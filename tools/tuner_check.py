@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Tuner gate: the auto-tuner must rediscover, resume, and replay.
+"""Tuner gate: the auto-tuner must rediscover, and finish a killed search.
 
 Runs the flagship INT8 SDOT GEMM scenario through seeded successive
 halving five ways and asserts the tuning contract:
@@ -9,12 +9,13 @@ halving five ways and asserts the tuning contract:
 2. a second, cacheless search produces an identical trajectory —
    the search is deterministic, not lucky;
 3. killing the search mid-rung (``stop_after_evaluations``) loses no
-   journaled evaluation, and a ``resume=True`` rerun completes with
-   the same winner and trajectory;
-4. the killed-and-resumed journal is byte-identical to the
-   uninterrupted run's journal;
-5. resuming the finished search is a pure replay: zero fresh
-   evaluations and not a byte appended.
+   cached evaluation: a rerun on the same cache dir answers them from
+   the cache, evaluates only the remainder, and finishes with the
+   uninterrupted run's winner and trajectory;
+4. the killed-and-rerun cache holds exactly the uninterrupted run's
+   entries, byte for byte, each stored once;
+5. rerunning the finished search evaluates nothing and writes
+   nothing.
 
 Writes a JSON report (``--out``, default ``tuner-report.json``) and
 exits non-zero on the first broken assertion.  CI runs this as part of
@@ -40,11 +41,32 @@ if str(ROOT / "tools") not in sys.path:
 
 from toollog import add_logging_args, tool_logging  # noqa: E402
 
+from repro.caching import SEGMENT_GLOB  # noqa: E402
 from repro.tuning import TuneInterrupted, TuneSpec, run_tune  # noqa: E402
 
-#: Fresh evaluations the killed search journals before the simulated
-#: kill — deep enough into rung 0 that resume has real work to replay.
+#: Fresh evaluations the killed search caches before the simulated
+#: kill — deep enough into rung 0 that the rerun has real work to skip.
 KILL_AFTER = 17
+
+
+def _cache_entries(cache_dir: Path) -> "list[tuple[bytes, bytes]]":
+    """Every ``(key, entry)`` line of the tuner caches under
+    ``cache_dir``, read across segments."""
+    return [
+        tuple(line.split(b"\t", 1))
+        for segment in sorted(cache_dir.glob(f"tuning/*/cells/{SEGMENT_GLOB}"))
+        for line in segment.read_bytes().splitlines()
+    ]
+
+
+def _files(root: Path) -> dict:
+    """Each file under ``root``: identity, modification time and bytes."""
+    return {
+        path.relative_to(root): (path.stat().st_ino, path.stat().st_mtime_ns,
+                                 path.read_bytes())
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 def _check(say, condition: bool, message: str, failures: list) -> None:
@@ -62,7 +84,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--cache-dir", default=None,
-        help="root for the runs' journals (default: a fresh temp dir)",
+        help="root for the runs' caches (default: a fresh temp dir)",
     )
     add_logging_args(parser)
     args = parser.parse_args(argv)
@@ -107,34 +129,37 @@ def main(argv: "list[str] | None" = None) -> int:
             say("killed", f"  killed after {KILL_AFTER} evaluations, "
                 "as planned", killed_after=KILL_AFTER)
 
-        # -- resume the killed search ---------------------------------------
-        say("section", "resume:")
-        resumed = run_tune(killed_spec.with_(resume=True))
-        _check(say, resumed.complete
-               and resumed.best_label == clean.best_label,
-               "resumed search finishes with the same winner", failures)
-        _check(say, resumed.trajectory == clean.trajectory,
-               "resumed trajectory matches the uninterrupted run", failures)
-        _check(say, resumed.from_journal >= KILL_AFTER,
-               f"resume replayed the journaled evaluations "
-               f"({resumed.from_journal} >= {KILL_AFTER})", failures)
-        _check(say, resumed.evaluations + KILL_AFTER <= clean.evaluations,
-               "resume executed only the remainder", failures)
+        # -- rerun the killed search ----------------------------------------
+        say("section", "rerun on the killed search's cache:")
+        rerun = run_tune(killed_spec)
+        _check(say, rerun.complete
+               and rerun.best_label == clean.best_label,
+               "rerun finishes with the same winner", failures)
+        _check(say, rerun.trajectory == clean.trajectory,
+               "rerun trajectory matches the uninterrupted run", failures)
+        _check(say, rerun.from_cache >= KILL_AFTER,
+               f"rerun answered the cached evaluations from the cache "
+               f"({rerun.from_cache} >= {KILL_AFTER})", failures)
+        _check(say, rerun.evaluations + KILL_AFTER <= clean.evaluations,
+               "rerun executed only the remainder", failures)
 
-        clean_bytes = Path(clean.journal).read_bytes()
-        resumed_bytes = Path(resumed.journal).read_bytes()
-        _check(say, clean_bytes == resumed_bytes,
-               f"killed-and-resumed journal is byte-identical to the "
-               f"clean run's ({len(clean_bytes)} bytes)", failures)
+        clean_entries = _cache_entries(root / "clean")
+        killed_entries = _cache_entries(root / "killed")
+        _check(say, len(dict(killed_entries)) == len(killed_entries)
+               and dict(killed_entries) == dict(clean_entries),
+               f"killed-and-rerun cache holds the clean run's "
+               f"{len(clean_entries)} entries byte for byte, each once",
+               failures)
 
-        # -- pure replay -----------------------------------------------------
-        say("section", "replay of the finished search:")
-        replay = run_tune(killed_spec.with_(resume=True))
+        # -- rerun of the finished search -----------------------------------
+        say("section", "rerun of the finished search:")
+        before = _files(root / "killed")
+        replay = run_tune(killed_spec)
         _check(say, replay.evaluations == 0
                and replay.best_label == clean.best_label,
-               "replaying the finished journal executes nothing", failures)
-        _check(say, Path(resumed.journal).read_bytes() == resumed_bytes,
-               "replay appends not a byte to the journal", failures)
+               "rerunning the finished search executes nothing", failures)
+        _check(say, _files(root / "killed") == before,
+               "rerun writes nothing under the cache dir", failures)
 
         elapsed = time.monotonic() - t0
         report = {
@@ -146,8 +171,8 @@ def main(argv: "list[str] | None" = None) -> int:
             "evaluations": clean.evaluations,
             "rungs": len(clean.rungs),
             "killed_after": KILL_AFTER,
-            "resumed_from_journal": resumed.from_journal,
-            "journal_bytes": len(clean_bytes),
+            "rerun_from_cache": rerun.from_cache,
+            "cache_entries": len(clean_entries),
             "elapsed_s": round(elapsed, 3),
             "broken": failures,
             "ok": not failures,
@@ -161,7 +186,7 @@ def main(argv: "list[str] | None" = None) -> int:
             say("fail", f"{len(failures)} tuner assertion(s) broken",
                 level="error", broken=len(failures))
             return 1
-        say("pass", "tuner gate: rediscovery, resume and replay are "
+        say("pass", "tuner gate: rediscovery, kill and rerun are "
             "deterministic and loss-free")
         return 0
 
