@@ -1,8 +1,9 @@
-"""Atomic file replacement: the one temp-file + ``os.replace`` write.
+"""Crash-safe file writes: the one temp-file + ``os.replace`` write, and
+the one append-open of a JSONL file a killed writer may have torn.
 
 A leaf module (it imports nothing from :mod:`repro`), so every layer —
-journal headers, metrics histories, the service registry — can share
-it.  It raises; each caller keeps its own error
+journals, metrics histories, structured logs, the service registry —
+can share it.  It raises; each caller keeps its own error
 policy (raise, or log, count and carry on).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
+from typing import TextIO
 
 
 def atomic_write(path: "str | Path", data: "str | bytes") -> None:
@@ -32,3 +34,27 @@ def atomic_write(path: "str | Path", data: "str | bytes") -> None:
             os.unlink(tmp)
         except OSError:
             pass  # the success path already renamed it away
+
+
+def open_append(path: "str | Path") -> TextIO:
+    """Open the line file ``path`` for appending text, first ending a
+    torn last line (a writer killed mid-line) so that the next line
+    starts fresh instead of extending the garbage.
+
+    Raises :class:`OSError` when the file cannot be opened.
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            torn = fh.read(1) != b"\n"
+    except OSError:  # missing or empty: nothing to repair
+        torn = False
+    out = open(path, "a")
+    if torn:
+        try:
+            out.write("\n")
+            out.flush()
+        except OSError:
+            out.close()
+            raise
+    return out

@@ -323,16 +323,8 @@ class CellCache:
 
     def put(self, key: str, record: RunRecord) -> None:
         # A failed write loses only the warm-cache shortcut: the record
-        # is still in memory, and in the journal of a campaign.
+        # is still in memory, and a rerun recomputes the same record.
         self.store.put(key, json.dumps({"key": key, "record": record_to_dict(record)}))
-
-
-# -- journal -------------------------------------------------------------
-
-# The journal itself lives in repro.harness.journalstore (one
-# append-only shard journal per (campaign fingerprint, shard i/N) in a
-# DirectoryJournalStore, and the cross-shard merge); CampaignJournal
-# is re-exported above for compatibility with existing imports.
 
 
 # -- cells and chunks ----------------------------------------------------

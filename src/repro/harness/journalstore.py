@@ -32,9 +32,8 @@ subsystem:
     ``journal-<i>of<N>.jsonl`` next to it.
 
 :func:`open_journal`
-    The resume procedure the engine and the campaign service share:
-    replay the merged stream, open the shard's journal append-only, and
-    re-persist what it lacks.
+    The engine's resume procedure: replay the merged stream, open the
+    shard's journal append-only, and re-persist what it lacks.
 
 :func:`merge_journals` / :class:`MergedJournal`
     Folds any subset of shard journals — plus a legacy single
@@ -57,14 +56,13 @@ Shard indices are 1-based everywhere a human sees them (CLI
 from __future__ import annotations
 
 import json
-import os
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.atomicio import atomic_write
+from repro.atomicio import atomic_write, open_append
 from repro.errors import HarnessError
 from repro.harness.results import (
     FAILURE_STATUSES,
@@ -198,8 +196,7 @@ class CampaignJournal:
             if loaded is not None and loaded[0].get("fingerprint") == fingerprint:
                 existing = {(r.benchmark, r.variant) for r in loaded[1]}
                 self._finished = loaded[2]
-                self._fh = open(self.path, "a")
-                self._ensure_trailing_newline()
+                self._fh = open_append(self.path)
                 return existing
         header = {
             "kind": "header",
@@ -212,23 +209,6 @@ class CampaignJournal:
         atomic_write(self.path, json.dumps(header) + "\n")
         self._fh = open(self.path, "a")
         return set()
-
-    def _ensure_trailing_newline(self) -> None:
-        """Terminate a partial trailing line (kill mid-write) so the
-        next append starts a fresh line instead of extending garbage."""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell() == 0:
-                    return
-                fh.seek(-1, os.SEEK_END)
-                last = fh.read(1)
-        except OSError:
-            return
-        if last != b"\n":
-            assert self._fh is not None
-            self._fh.write("\n")
-            self._fh.flush()
 
     def append(self, record: RunRecord) -> None:
         if self._fh is not None:
@@ -517,7 +497,7 @@ def open_journal(
     """Open shard ``shard``'s journal of a campaign; returns it with the
     records that resume replays (canonical order, empty on a fresh start).
 
-    The resume procedure the engine and the service share.
+    The engine's resume procedure.
     With ``resume`` the *merged* stream of every journal in ``store`` is
     replayed (raising :class:`HarnessError` when one belongs to another
     campaign), so any node can pick the campaign back up; the shard's

@@ -9,14 +9,15 @@ service the ROADMAP calls for: an asyncio HTTP/JSON front end
 * accepts concurrent campaign submissions from multiple tenants
   (``POST /campaigns``),
 * dedupes overlapping cells across tenants through the same
-  content-addressed cell/kernel caches the engine uses — one in-flight
+  content-addressed cell cache the engine uses — one in-flight
   execution per cell fingerprint, all waiters fan in,
 * batches the compilation of kernels shared between campaigns
-  (benchmark-major dispatch, shared on-disk kernel cache),
+  (benchmark-major dispatch to workers that keep their compiles),
 * answers fully-cached campaigns without spawning a single pool
   worker,
-* persists every accepted campaign through the journal store so a
-  service restart resumes in-flight campaigns from their checkpoints,
+* persists every accepted campaign in the service registry so a
+  restart reruns in-flight campaigns, their finished cells answered
+  from the cell cache,
 * streams typed campaign events to clients (``GET
   /campaigns/<id>/events``, server-sent events).
 

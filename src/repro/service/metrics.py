@@ -25,7 +25,6 @@ _SERVICE_HELP = {
     "service.cells_executed": "Cells executed by the service pool (one per unique in-flight fingerprint).",
     "service.cells_deduped": "Cells satisfied by fanning in on another campaign's in-flight execution.",
     "service.cells_cached": "Cells satisfied from the content-addressed cell cache.",
-    "service.cells_resumed": "Cells replayed from campaign journals after a service restart.",
     "service.kernel_batches": "Benchmark-major batches dispatched (kernels compiled at most once per batch).",
     "service.pool_tasks": "Tasks handed to the worker pool (0 for fully-cached campaigns).",
     "service.campaigns_accepted": "Campaign submissions accepted.",

@@ -10,7 +10,8 @@ document or the new one, never a torn half-write.
 
 On restart the service replays the registry: campaigns whose state is
 ``queued`` or ``running`` are resubmitted with their original spec and
-resume from their journal checkpoints (:mod:`repro.harness.journalstore`).
+rerun, and every cell they finished before the restart is answered
+from the shared ``cells/`` cache.
 """
 
 from __future__ import annotations

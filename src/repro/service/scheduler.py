@@ -25,12 +25,12 @@ the service's worker pool
     crosses the pool by name, so a worker compiles each kernel once
     and keeps the compile in its process memo for later batches.
 
-Every campaign checkpoints into its own journal
-(``service/<id>/journal.jsonl``) through the engine's
-:class:`~repro.harness.journalstore.CampaignJournal`, and is recorded
-in the :class:`~repro.service.registry.ServiceRegistry` *before* its
-first cell runs — a killed service restarts, replays the registry, and
-resumes every in-flight campaign from its checkpoints.
+Every campaign is recorded in the
+:class:`~repro.service.registry.ServiceRegistry` *before* its first
+cell runs, and every cell it finishes is in ``cells/`` before the
+campaign sees its record.  A killed service restarts, replays the
+registry, and reruns every in-flight campaign: each cell finished
+before the kill is a ``cells/`` hit.
 
 Event order contract: completion events (``cache-hit``,
 ``cell-finished``, ``cell-failed``, ``cell-timed-out``) are emitted in
@@ -46,7 +46,6 @@ elsewhere.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -65,14 +64,14 @@ from repro.harness.engine import (
     completion_kind,
     _run_chunk,
 )
-from repro.harness.journalstore import (
-    CampaignJournal,
-    DirectoryJournalStore,
-    open_journal,
-)
 from repro.harness.results import STATUS_OK, CampaignResult, RunRecord
 from repro.machine.select import resolve_machine
-from repro.service.config import CampaignSpec, ServiceError, spec_to_dict
+from repro.service.config import (
+    CampaignSpec,
+    ServiceError,
+    spec_from_dict,
+    spec_to_dict,
+)
 from repro.service.registry import (
     STATE_CANCELLED,
     STATE_FAILED,
@@ -118,7 +117,7 @@ class ServiceCampaign:
     cells: tuple[CellTask, ...]
     fingerprint: str
     keys: dict[int, str]
-    #: ``service/<id>/`` — journal + saved result.
+    #: ``service/<id>/`` — the saved result.
     dir: Path
     state: str = STATE_QUEUED
     submitted_at: float = field(default_factory=time.time)
@@ -126,11 +125,9 @@ class ServiceCampaign:
     elapsed_s: float = 0.0
     cancelled: bool = False
     error: "str | None" = None
-    resume: bool = False
     done: dict = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
-        "executed": 0, "cache_hits": 0, "deduped": 0, "resumed": 0,
-        "failures": 0,
+        "executed": 0, "cache_hits": 0, "deduped": 0, "failures": 0,
     })
     events: list = field(default_factory=list)
     subscribers: list = field(default_factory=list)
@@ -204,7 +201,7 @@ class CampaignScheduler:
         #: Service-wide counters (Prometheus + /stats).
         self.counters = {
             "cells_executed": 0, "cells_deduped": 0, "cells_cached": 0,
-            "cells_resumed": 0, "kernel_batches": 0, "pool_tasks": 0,
+            "kernel_batches": 0, "pool_tasks": 0,
             "campaigns_accepted": 0, "campaigns_finished": 0,
             "campaigns_failed": 0, "campaigns_cancelled": 0,
         }
@@ -213,14 +210,13 @@ class CampaignScheduler:
 
     def submit(
         self, spec: CampaignSpec, *, campaign_id: "str | None" = None,
-        resume: bool = False,
     ) -> ServiceCampaign:
         """Accept a campaign: resolve, register, and start scheduling.
 
         Raises :class:`ServiceError` (the 400 path) when the spec names
         unknown suites/benchmarks/machines.  The campaign is persisted
         in the registry before this returns, so a crash immediately
-        after acceptance still resumes it.
+        after acceptance still reruns it.
         """
         engine = _resolve_shape(spec)
         cells = engine.cells()
@@ -238,7 +234,6 @@ class CampaignScheduler:
             fingerprint=fingerprint,
             keys=engine.cell_keys(cells),
             dir=self.service_dir / campaign_id,
-            resume=resume,
         )
         self.campaigns[campaign_id] = campaign
         self.counters["campaigns_accepted"] += 1
@@ -250,27 +245,23 @@ class CampaignScheduler:
         return campaign
 
     def resume_pending(self) -> list[ServiceCampaign]:
-        """Resubmit every registry entry a restart must pick back up."""
+        """Resubmit every registry entry a restart must pick back up.
+
+        Each reruns like a new campaign; the cells it finished before
+        the restart are ``cells/`` hits."""
         resumed = []
         for cid, entry in self.registry.resumable().items():
             seq = _seq_of(cid)
             if seq is not None:
                 self._seq = max(self._seq, seq)
-            spec = CampaignSpec(
-                tenant=entry.get("tenant", "default"),
-                machine=entry["spec"].get("machine"),
-                variants=_opt_tuple(entry["spec"].get("variants")),
-                suites=_opt_tuple(entry["spec"].get("suites")),
-                benchmarks=_opt_tuple(entry["spec"].get("benchmarks")),
-                runs=int(entry["spec"].get("runs", 10)),
-            )
-            resumed.append(self.submit(spec, campaign_id=cid, resume=True))
+            spec = spec_from_dict(entry["spec"])
+            resumed.append(self.submit(spec, campaign_id=cid))
             telemetry.count("service.campaigns_resumed")
         return resumed
 
     def cancel(self, campaign_id: str) -> ServiceCampaign:
-        """Cancel a campaign: stop scheduling, abandon undispatched
-        batches, keep the journal for a later resubmission."""
+        """Cancel a campaign: stop scheduling and abandon undispatched
+        batches."""
         campaign = self.get(campaign_id)
         if campaign.finished:
             return campaign
@@ -303,57 +294,32 @@ class CampaignScheduler:
         c.state = STATE_RUNNING
         c.started_monotonic = time.monotonic()
         self._persist(c)
-        journal: "CampaignJournal | None" = None
         try:
             with telemetry.context(campaign=c.id, tenant=c.tenant):
-                journal = self._open_journal(c)
                 self._emit(c, EventKind.CAMPAIGN_STARTED.value,
                            message=f"{c.total} cells, tenant={c.tenant}")
-                await self._schedule_cells(c, journal)
+                await self._schedule_cells(c)
                 if c.cancelled:
-                    self._finish(c, STATE_CANCELLED, journal)
+                    self._finish(c, STATE_CANCELLED)
                     return
                 self._save_result(c)
-                if journal is not None:
-                    journal.done()
-                    journal = None
-                self._finish(c, STATE_FINISHED, None)
+                self._finish(c, STATE_FINISHED)
         except asyncio.CancelledError:
             # Hard service stop: leave state "running" in the registry
-            # so the next service instance resumes from the journal.
+            # so the next service instance reruns the campaign.
             self._close_subscribers(c)
             raise
         except Exception as exc:  # noqa: BLE001 - degrade to a failed campaign
             c.error = f"{type(exc).__name__}: {exc}"
             telemetry.count("service.campaigns_failed")
-            self._finish(c, STATE_FAILED, journal)
+            self._finish(c, STATE_FAILED)
         finally:
             # However the campaign ended, no waiter may stay stranded on
             # a cell it claimed but never resolved (a no-op once every
             # claim has its record).
             self._release(c.claims, CellAbandoned, c.id)
-            if journal is not None:
-                journal.close()
 
-    def _open_journal(self, c: ServiceCampaign) -> CampaignJournal:
-        journal, replayed = open_journal(
-            DirectoryJournalStore(c.dir), c.fingerprint, c.machine.name,
-            [t.name for t in c.cells], resume=c.resume,
-        )
-        c.done.update(replayed)
-        # Resumed cells report before anything is scheduled, in
-        # canonical order.
-        for task in c.cells:
-            if task.name in c.done:
-                c.stats["resumed"] += 1
-                self.counters["cells_resumed"] += 1
-                self._note_record(c, c.done[task.name])
-                self._emit_cell(c, EventKind.CACHE_HIT.value, task,
-                                c.done[task.name], from_cache=True,
-                                message="resumed from journal")
-        return journal
-
-    async def _schedule_cells(self, c: ServiceCampaign, journal) -> None:
+    async def _schedule_cells(self, c: ServiceCampaign) -> None:
         """Scan, dispatch, then fan results in — in canonical order.
 
         The scan and the batch submissions happen in one event-loop
@@ -363,8 +329,6 @@ class CampaignScheduler:
         owned: list[tuple[CellTask, str, asyncio.Future]] = []
         pending_order: dict[tuple[str, str], tuple] = {}
         for task in c.cells:
-            if task.name in c.done:
-                continue
             key = c.keys[task.index]
             record = self.cell_cache.get(key)
             if record is not None:
@@ -373,7 +337,6 @@ class CampaignScheduler:
                 telemetry.count("service.cells_cached")
                 self._note_record(c, record)
                 c.done[task.name] = record
-                journal.append(record)
                 self._emit_cell(c, EventKind.CACHE_HIT.value, task, record,
                                 from_cache=True)
                 continue
@@ -416,7 +379,6 @@ class CampaignScheduler:
                 telemetry.count("service.cells_deduped")
             self._note_record(c, record)
             c.done[task.name] = record
-            journal.append(record)
             if how == "deduped":
                 self._emit_cell(c, EventKind.CACHE_HIT.value, task, record,
                                 from_cache=True, message="deduped in-flight")
@@ -539,18 +501,15 @@ class CampaignScheduler:
         if record.status != STATUS_OK:
             c.stats["failures"] += 1
 
-    def _finish(self, c: ServiceCampaign, state: str, journal) -> None:
+    def _finish(self, c: ServiceCampaign, state: str) -> None:
         c.state = state
         c.elapsed_s = round(time.monotonic() - c.started_monotonic, 3)
-        if journal is not None:
-            journal.close()
         if state == STATE_FINISHED:
             self.counters["campaigns_finished"] += 1
             self._emit(c, EventKind.CAMPAIGN_FINISHED.value,
                        message=f"{c.stats['executed']} executed, "
                        f"{c.stats['cache_hits']} cache hits, "
                        f"{c.stats['deduped']} deduped, "
-                       f"{c.stats['resumed']} resumed, "
                        f"{c.stats['failures']} failed")
         elif state == STATE_CANCELLED:
             self.counters["campaigns_cancelled"] += 1
@@ -575,6 +534,7 @@ class CampaignScheduler:
             **c.stats,
             "elapsed_s": round(time.monotonic() - c.started_monotonic, 3),
         }
+        c.dir.mkdir(parents=True, exist_ok=True)
         result.save(c.dir / "result.json")
 
     def _persist(self, c: ServiceCampaign) -> None:
@@ -722,16 +682,3 @@ def _seq_of(campaign_id: str) -> "int | None":
     except ValueError:
         pass
     return None
-
-
-def _opt_tuple(value) -> "tuple[str, ...] | None":
-    return tuple(value) if value else None
-
-
-def load_service_result(campaign_dir: "str | Path") -> "dict | None":
-    """The saved result document of a finished service campaign."""
-    path = Path(campaign_dir) / "result.json"
-    try:
-        return json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None

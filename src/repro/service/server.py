@@ -116,7 +116,7 @@ class CampaignService:
     def stop(self, *, graceful: bool = True, timeout: float = 30.0) -> None:
         """Stop serving.  ``graceful=True`` waits for running campaigns;
         ``graceful=False`` abandons them mid-flight (they stay
-        ``running`` in the registry, so the next start resumes them —
+        ``running`` in the registry, so the next start reruns them —
         the restart path the service gauntlet exercises)."""
         loop = self._http.loop
         if loop is None:
@@ -252,30 +252,3 @@ class CampaignService:
         finally:
             sched.unsubscribe(campaign, queue)
 
-
-def submit_and_wait(
-    service: CampaignService, spec_doc: dict, *, timeout: float = 300.0
-) -> dict:
-    """Convenience for tests and examples: submit through the running
-    service's scheduler thread-safely and block until terminal state.
-
-    Uses the scheduler directly (no HTTP) — the HTTP path is exercised
-    by the service gauntlet; this helper is for in-process callers that
-    want the same semantics without a socket round trip.
-    """
-    loop = service._http.loop
-    sched = service.scheduler
-    if loop is None or sched is None:
-        raise ServiceError("service is not running")
-    spec = spec_from_dict(spec_doc)
-    fut = asyncio.run_coroutine_threadsafe(
-        _submit_and_wait(sched, spec), loop
-    )
-    return fut.result(timeout=timeout)
-
-
-async def _submit_and_wait(sched: CampaignScheduler, spec) -> dict:
-    campaign = sched.submit(spec)
-    if campaign.task is not None:
-        await asyncio.wait({campaign.task})
-    return sched.campaign_doc(campaign)

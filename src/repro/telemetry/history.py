@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
-from repro.atomicio import atomic_write
+from repro.atomicio import atomic_write, open_append
 
 _LOG = logging.getLogger(__name__)
 
@@ -181,7 +181,7 @@ class CampaignHistory:
                 atomic_write(self.path, json.dumps(header) + "\n")
                 self._fh = open(self.path, "a")
                 return True
-            self._fh = open(self.path, "a")
+            self._fh = open_append(self.path)
             self._fh.write(json.dumps(header) + "\n")
             self._fh.flush()
             return True

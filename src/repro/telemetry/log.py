@@ -36,6 +36,8 @@ import threading
 import time
 from pathlib import Path
 
+from repro.atomicio import open_append
+
 _STDLIB = logging.getLogger(__name__)
 
 #: Record keys reserved for the logger itself; context/fields with the
@@ -150,7 +152,7 @@ class StructuredLogger:
         try:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a")
+                self._fh = open_append(self.path)
             self._fh.write(json.dumps(record, default=str) + "\n")
             self._fh.flush()
         except OSError as exc:

@@ -25,7 +25,8 @@ from repro.faults import (
     classify_exception,
     failure_info,
 )
-from repro.harness.engine import CampaignEngine, CampaignJournal, EventKind
+from repro.harness.engine import CampaignEngine, EventKind
+from repro.harness.journalstore import CampaignJournal
 from repro.harness.results import (
     FAILURE_STATUSES,
     STATUS_OK,

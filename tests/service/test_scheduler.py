@@ -12,6 +12,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import time
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro.harness.engine import CampaignEngine, EventKind
 from repro.harness.engine import _run_chunk as _real_run_chunk
+from repro.harness.journalstore import CampaignJournal
 from repro.harness.results import record_to_dict
 from repro.service import CampaignSpec
 from repro.service.registry import (
@@ -241,7 +243,21 @@ class TestCancellation:
         assert run(main()).state == STATE_FINISHED
 
 
+async def run_to_end(root, campaign_spec):
+    sched = CampaignScheduler(root, workers=0)
+    c = sched.submit(campaign_spec)
+    await finished(c)
+    return c
+
+
+def saved_records(campaign) -> list:
+    return json.loads((campaign.dir / "result.json").read_text())["records"]
+
+
 class TestRestartResume:
+    """A restart reruns each interrupted campaign; the cells it finished
+    before the kill come back from ``cells/``."""
+
     def test_killed_service_resumes_from_journal(self, tmp_path, monkeypatch):
         import repro.service.scheduler as mod
 
@@ -256,9 +272,10 @@ class TestRestartResume:
             return real(chunk)
 
         monkeypatch.setattr(mod, "_run_chunk", uneven_chunk)
+        root = tmp_path / "killed"
 
         async def first_life():
-            sched = CampaignScheduler(tmp_path, workers=0)
+            sched = CampaignScheduler(root, workers=0)
             c = sched.submit(spec("alice"))
             # Let the first benchmark's batch land, then die abruptly —
             # asyncio task cancellation is the in-process stand-in for
@@ -271,13 +288,13 @@ class TestRestartResume:
 
         cid, completed_before = run(first_life())
         assert 0 < completed_before
-        registry = ServiceRegistry(tmp_path / "service" / "campaigns.json")
+        registry = ServiceRegistry(root / "service" / "campaigns.json")
         assert registry.load()[cid]["state"] == STATE_RUNNING
 
         monkeypatch.setattr(mod, "_run_chunk", real)
 
         async def second_life():
-            sched = CampaignScheduler(tmp_path, workers=0)
+            sched = CampaignScheduler(root, workers=0)
             resumed = sched.resume_pending()
             assert [c.id for c in resumed] == [cid]
             await finished(*resumed)
@@ -286,10 +303,12 @@ class TestRestartResume:
         sched, c = run(second_life())
         assert c.state == STATE_FINISHED
         assert c.completed == c.total
-        # The journaled cells were replayed, not re-executed.
-        assert c.stats["resumed"] >= completed_before
-        result = json.loads((c.dir / "result.json").read_text())
-        assert len(result["records"]) == c.total
+        # The cells finished before the kill came from the cell cache,
+        # not from a second execution.
+        assert c.stats["cache_hits"] >= completed_before
+        assert c.stats["executed"] <= c.total - completed_before
+        clean = run(run_to_end(tmp_path / "clean", spec("alice")))
+        assert saved_records(c) == saved_records(clean)
 
     def test_new_ids_do_not_collide_with_resumed_ones(self, tmp_path):
         async def first():
@@ -313,8 +332,48 @@ class TestRestartResume:
         resumed, fresh = run(second())
         assert resumed.id == cid
         assert fresh.id != cid
-        # Fully-journaled campaign resumed without executing anything.
-        assert resumed.stats["resumed"] == resumed.total
+        # Every cell finished before the restart: all from the cache.
+        assert resumed.stats["cache_hits"] == resumed.total
+        assert resumed.stats["executed"] == 0
+
+    def test_finished_campaign_leaves_only_its_result(self, tmp_path):
+        c = run(run_to_end(tmp_path, spec("alice")))
+        assert c.state == STATE_FINISHED
+        assert sorted(p.name for p in c.dir.iterdir()) == ["result.json"]
+
+    def test_restart_ignores_an_old_campaign_journal(self, tmp_path):
+        first = run(run_to_end(tmp_path, spec("alice")))
+        # The state an older service left behind when killed: a journal
+        # of every cell under service/<id>/, the registry still
+        # "running", and no result yet.  Then the cell cache is lost.
+        journal = CampaignJournal(first.dir / "journal.jsonl")
+        journal.start(first.fingerprint, first.machine.name,
+                      [t.name for t in first.cells])
+        for task in first.cells:
+            journal.append(first.done[task.name])
+        journal.done()
+        old_journal = journal.path.read_bytes()
+        records = saved_records(first)
+        (first.dir / "result.json").unlink()
+        registry = ServiceRegistry(tmp_path / "service" / "campaigns.json")
+        registry.upsert(first.id, {**registry.load()[first.id],
+                                   "state": STATE_RUNNING})
+        shutil.rmtree(tmp_path / "cells")
+
+        async def restart():
+            sched = CampaignScheduler(tmp_path, workers=0)
+            resumed = sched.resume_pending()
+            await finished(*resumed)
+            return resumed
+
+        (c,) = run(restart())
+        assert c.id == first.id and c.state == STATE_FINISHED
+        # The journal is not read: every cell runs again, to the same
+        # records, and the old file stays as it was.
+        assert c.stats["executed"] == c.total
+        assert c.stats["cache_hits"] == 0
+        assert saved_records(c) == records
+        assert journal.path.read_bytes() == old_journal
 
 
 class TestPoolFailures:

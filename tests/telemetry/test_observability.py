@@ -10,6 +10,7 @@ import pytest
 
 from repro import telemetry
 from repro.harness.engine import CampaignEngine
+from repro.harness.observatory import diagnose
 from repro.suites import micro_suite
 from repro.telemetry import (
     CampaignHistory,
@@ -104,6 +105,16 @@ class TestStructuredLog:
         on_disk = [json.loads(l) for l in
                    (tmp_path / "log.jsonl").read_text().splitlines()]
         assert on_disk == list(parent.records)
+
+    def test_record_after_a_torn_line_parses(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"event": "one"}\n{"event": "tw')  # kill mid-write
+        logger = StructuredLogger(path)
+        with telemetry.logging_active(logger):
+            telemetry.log_event("three")
+        logger.close()
+        last = path.read_text().splitlines()[-1]
+        assert json.loads(last)["event"] == "three"
 
     def test_write_error_counted_not_raised(self, tmp_path):
         tel = Telemetry()
@@ -238,6 +249,24 @@ class TestCampaignHistory:
             fh.write('{"kind": "sample", "t": 3.0, "comp')  # kill mid-write
         _, _, samples = CampaignHistory(path).load()
         assert len(samples) == 1
+
+    def test_run_after_a_torn_line_is_its_own_segment(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        hist = CampaignHistory(path)
+        hist.start("fp-1")
+        hist.append(_sample(cache_hit_rate=1.0))
+        hist.close()
+        with open(path, "a") as fh:
+            fh.write('{"kind": "sample", "t": 3.0, "comp')  # kill mid-write
+        hist = CampaignHistory(path)
+        hist.start("fp-1")
+        hist.append(_sample(t=9.0, cache_hit_rate=0.0))
+        hist.close()
+        runs = CampaignHistory(path).runs()
+        assert len(runs) == 2
+        # The doctor sees the collapse across the kill.
+        (finding,) = diagnose([], runs=runs).by_category("cache-collapse")
+        assert "100% -> 0%" in finding.title
 
     def test_write_failure_counted_not_raised(self, tmp_path):
         tel = Telemetry()
