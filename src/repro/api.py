@@ -6,7 +6,7 @@ measurement campaigns, through three small types:
 :class:`CampaignConfig`
     A frozen, fully-serializable description of *what* to run and
     *how*: machine, compiler variants, suites/benchmarks, flag
-    overrides, worker count, cache directory, resume.
+    overrides, worker count, cache directory.
 
 :class:`CampaignSession`
     Binds a config to the :class:`~repro.harness.engine.CampaignEngine`
@@ -140,11 +140,10 @@ class CampaignConfig:
     #: Worker processes; 1 = deterministic serial loop (same records
     #: either way — the model is fully deterministic).
     workers: int = 1
-    #: Root for the persistent kernel/cell caches and the journal;
-    #: ``None`` disables persistence.
+    #: Root for the persistent cell cache and the journal; ``None``
+    #: disables persistence.  An interrupted campaign rerun on the same
+    #: directory answers every cell it finished from the cell cache.
     cache_dir: "str | Path | None" = None
-    #: Resume an interrupted campaign from the journal in ``cache_dir``.
-    resume: bool = False
     #: Performance runs per cell (the paper's ten).
     runs: int = PERFORMANCE_RUNS
     #: Record structured tracing and metrics for the campaign (the
@@ -249,7 +248,6 @@ class CampaignSession:
             flags=cfg.flags,
             workers=cfg.workers,
             cache_dir=cfg.cache_dir,
-            resume=cfg.resume,
             runs=cfg.runs,
             telemetry=self._telemetry,
             lint_policy=cfg.lint_policy,

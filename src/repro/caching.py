@@ -37,7 +37,7 @@ class ContentStore:
     Each store object appends to a segment of its own,
     ``<root>/segment-<pid>-<token>.tsv``, one ``<key>\\t<data>`` line
     per entry, flushed as it is written, so concurrent writers (shards,
-    a killed run and the run that resumes it) never share a file.
+    a killed run and the run that reruns it) never share a file.
     A reader indexes every segment on its first lookup by splitting
     lines, without decoding them, and decodes only the entries asked for.
 

@@ -4,8 +4,7 @@ Usage::
 
     a64fx-campaign run [--out results.json]       # full 108x5 campaign
         [--workers N]                             # parallel cell execution
-        [--cache-dir DIR]                         # persistent kernel/cell cache
-        [--resume]                                # continue an interrupted run
+        [--cache-dir DIR]                         # finished-cell cache and journal
         [--shard I/N]                             # run one shard (1-based) of the grid
         [--trace trace.json]                      # Chrome trace_event flight record
         [--span-log spans.jsonl]                  # flat JSONL span log
@@ -108,7 +107,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = CampaignConfig(
         workers=args.workers,
         cache_dir=args.cache_dir,
-        resume=args.resume,
         suites=tuple(args.suite) if args.suite else None,
         benchmarks=tuple(args.benchmark) if args.benchmark else None,
         variants=tuple(args.variant) if args.variant else CampaignConfig.variants,
@@ -803,11 +801,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_run.add_argument(
         "--cache-dir",
-        help="persistent cache root (compiled kernels, finished cells, journal)",
-    )
-    p_run.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign from the journal in --cache-dir",
+        help="persistent cache root (finished cells, journal); rerunning "
+             "an interrupted campaign on it executes only the unfinished cells",
     )
     p_run.add_argument(
         "--trace", metavar="PATH",

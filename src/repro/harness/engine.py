@@ -1,5 +1,5 @@
 """Parallel campaign engine: cell tasks, worker pools, persistent
-caching, and checkpoint/resume.
+caching, and checkpoint journals.
 
 The paper's full study is a 108-benchmark x 5-compiler grid whose 540
 cells are independent of one another (each cell runs its own
@@ -28,11 +28,14 @@ Persistence has two layers, both rooted at ``cache_dir``:
   over :class:`repro.caching.ContentStore`, which packs the entries
   into one append-only segment per writer;
 * ``journal.jsonl`` / ``journal-<i>of<n>.jsonl`` — append-only
-  per-(campaign, shard) journals (:mod:`repro.harness.journalstore`);
-  an interrupted campaign resumes (``resume=True``) by replaying the
-  *merged* stream of every journal present and running only the
-  remainder, so a sweep sharded across nodes (``shard=(i, n)``) can be
-  picked back up from any of them.
+  per-(campaign, shard) logs of finished cells
+  (:mod:`repro.harness.journalstore`), which ``journal merge`` folds
+  into the full result of a sweep sharded across nodes
+  (``shard=(i, n)``).  The engine writes them and never reads them.
+
+An interrupted campaign is rerun on the same ``cache_dir``: every cell
+it finished is a ``cells/`` hit (a record goes into ``cells/`` before
+it is journaled or announced), so only the remainder executes.
 
 Progress is reported through typed :class:`CampaignEvent` s.
 
@@ -71,7 +74,6 @@ from repro.harness.journalstore import (
     ENGINE_VERSION,
     CampaignJournal,
     DirectoryJournalStore,
-    open_journal,
     shard_cells,
     validate_shard,
 )
@@ -132,7 +134,7 @@ class EventKind(enum.Enum):
     CELL_FINISHED = "cell-finished"
     #: A cell finished with a failure status (Figure 2 failure cells).
     CELL_FAILED = "cell-failed"
-    #: A cell was satisfied from the persistent cell cache or journal.
+    #: A cell was satisfied from the persistent cell cache.
     CACHE_HIT = "cache-hit"
     #: The pre-flight lint gate skipped the cell (``lint_policy="error"``
     #: and the benchmark's kernels carry ERROR-severity findings).
@@ -167,7 +169,7 @@ class CampaignEvent:
     eta_s: float | None = None
     #: The finished record (CELL_FINISHED / CELL_FAILED / CACHE_HIT).
     record: RunRecord | None = None
-    #: True when the record came from the cell cache or the journal.
+    #: True when the record came from the cell cache.
     from_cache: bool = False
     message: str = ""
 
@@ -217,9 +219,9 @@ def _canonical(obj: object) -> object:
     ``repr`` is NOT that: frozensets (e.g. ``Kernel.features``) iterate
     in hash order, which varies with the per-process hash seed, so a
     repr-derived digest silently changes between runs — breaking
-    cross-process cache hits and journal resume.  Sets are therefore
-    sorted by their canonical serialization, enums reduced to their
-    names, and dataclasses walked field by field.  Kernels delegate to
+    cross-process cache hits.  Sets are therefore sorted by their
+    canonical serialization, enums reduced to their names, and
+    dataclasses walked field by field.  Kernels delegate to
     :func:`kernel_fingerprint`, the authoritative IR hash.
     """
     if isinstance(obj, Kernel):
@@ -563,12 +565,9 @@ class CampaignEngine:
         :class:`CampaignResult` records.
     ``cache_dir``
         Root of the persistent caches and the journal.  ``None``
-        disables persistence (pure in-memory run).
-    ``resume``
-        Replay completed cells from an existing journal before running
-        the remainder.  Ignored (fresh run) when no journal exists;
-        raises :class:`HarnessError` when the journal belongs to a
-        different campaign.
+        disables persistence (pure in-memory run).  A killed campaign
+        rerun on the same directory executes only the cells it had not
+        finished.
     ``telemetry``
         A :class:`repro.telemetry.Telemetry` to record the campaign's
         trace and metrics into (``None``, the default, falls back to
@@ -611,11 +610,8 @@ class CampaignEngine:
         (``journal-<index>of<count>.jsonl``) next to the legacy
         ``journal.jsonl``; ``a64fx-campaign journal merge`` (or
         :func:`repro.harness.journalstore.merged_result`) folds the
-        shard results back into the full campaign.  With
-        ``resume=True`` the engine replays the *merged* stream of every
-        journal in the cache dir, so any node can pick up any shard —
-        or, unsharded, the whole sweep.  ``None`` (default) runs all
-        cells.
+        shard results back into the full campaign.  ``None`` (default)
+        runs all cells.
     """
 
     def __init__(
@@ -628,7 +624,6 @@ class CampaignEngine:
         flags: CompilerFlags | None = None,
         workers: int = 1,
         cache_dir: "str | Path | None" = None,
-        resume: bool = False,
         runs: int = PERFORMANCE_RUNS,
         telemetry: "Telemetry | None" = None,
         lint_policy: str = LINT_OFF,
@@ -657,7 +652,6 @@ class CampaignEngine:
         self.flags = flags
         self.workers = workers
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.resume = resume
         self.runs = runs
         self.telemetry = telemetry
         self.lint_policy = lint_policy
@@ -725,7 +719,7 @@ class CampaignEngine:
             ",".join(benchmark_fingerprint(b) for b in self.benchmarks),
         ]
         if self.lint_policy != LINT_OFF:
-            # Only when gated, so pre-gate journals stay resumable.
+            # Only when gated, so ungated campaigns keep their fingerprint.
             parts.append(f"lint={self.lint_policy}")
         resilience = self._resilience_key()
         if resilience:
@@ -852,7 +846,7 @@ class CampaignEngine:
         total = len(tasks)
         done: dict[tuple[str, str], RunRecord] = {}
         stats = {
-            "cache_hits": 0, "resumed": 0, "executed": 0, "lint_skipped": 0,
+            "cache_hits": 0, "executed": 0, "lint_skipped": 0,
             "retried": 0, "timeouts": 0, "worker_restarts": 0, "cache_faults": 0,
             "failures_seen": 0,
         }
@@ -861,8 +855,8 @@ class CampaignEngine:
 
         def current_lint(record: RunRecord) -> RunRecord:
             """``record`` carrying this run's findings.  A record from
-            ``cells/`` or the journal holds those of the rule set that
-            stored it, and the cell key names only the lint policy."""
+            ``cells/`` holds those of the rule set that stored it, and
+            the cell key names only the lint policy."""
             if self.lint_policy == LINT_OFF:
                 return record
             diags = lint_diags.get(record.benchmark, ())
@@ -890,11 +884,8 @@ class CampaignEngine:
         ))
 
         def note_progress(kind, task, record, completed, elapsed, eta) -> None:
-            decided = (stats["cache_hits"] + stats["resumed"]
-                       + stats["executed"])
-            hit_rate = None
-            if decided:
-                hit_rate = (stats["cache_hits"] + stats["resumed"]) / decided
+            decided = stats["cache_hits"] + stats["executed"]
+            hit_rate = stats["cache_hits"] / decided if decided else None
             throughput = completed / elapsed if elapsed > 0 else 0.0
             telemetry.set_gauge("engine.progress.completed", completed)
             telemetry.set_gauge("engine.throughput_cps", throughput)
@@ -911,7 +902,6 @@ class CampaignEngine:
                 "total": total,
                 "executed": stats["executed"],
                 "cache_hits": stats["cache_hits"],
-                "resumed": stats["resumed"],
                 "lint_skipped": stats["lint_skipped"],
                 "failures": stats["failures_seen"],
                 "retried": stats["retried"],
@@ -930,7 +920,6 @@ class CampaignEngine:
                     total=total,
                     executed=stats["executed"],
                     cache_hits=stats["cache_hits"],
-                    resumed=stats["resumed"],
                     failures=stats["failures_seen"],
                     retried=stats["retried"],
                     throughput_cps=round(throughput, 6),
@@ -1004,25 +993,14 @@ class CampaignEngine:
         store = self.journal_store
         journal: "CampaignJournal | None" = None
         if store is not None:
-            journal, replayed = open_journal(
-                store, fingerprint, self.machine.name,
-                [t.name for t in campaign], shard=self.shard,
-                resume=self.resume,
-            )
-            by_name = {t.name: t for t in tasks}
-            for name, record in replayed.items():
-                record = done[name] = current_lint(record)
-                stats["resumed"] += 1
-                telemetry.count("engine.resumed")
-                send(EventKind.CACHE_HIT, by_name[name], record=record,
-                     from_cache=True, message="resumed from journal")
+            journal = store.journal(self.shard)
+            journal.start(fingerprint, self.machine.name,
+                          [t.name for t in campaign], shard=self.shard)
 
         cell_cache = CellCache(self.cache_dir / "cells") if self.cache_dir else None
         cell_keys = self.cell_keys(tasks) if cell_cache is not None else {}
         pending: list[CellTask] = []
         for task in tasks:
-            if task.name in done:
-                continue
             if task.benchmark.full_name in lint_blocked:
                 # The gate fires before the cache: a defective cell is
                 # recorded (never executed), cheap enough to redo, and
@@ -1082,7 +1060,7 @@ class CampaignEngine:
                 self._run_parallel(pending, finish_outcome, send, tel, root, stats)
         finally:
             if journal is not None and len(done) < total:
-                journal.close()  # keep the partial journal for --resume
+                journal.close()  # the partial journal stays mergeable
             if history is not None and len(done) < total:
                 history.close()  # the partial series stays appendable
 
@@ -1099,7 +1077,6 @@ class CampaignEngine:
             "cells": total,
             "executed": stats["executed"],
             "cache_hits": stats["cache_hits"],
-            "resumed": stats["resumed"],
             "elapsed_s": round(time.monotonic() - t0, 3),
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,
             "lint_policy": self.lint_policy,
@@ -1122,7 +1099,7 @@ class CampaignEngine:
         if journal is not None:
             journal.done()
         send(EventKind.CAMPAIGN_FINISHED, message=f"{stats['executed']} executed, "
-             f"{stats['cache_hits']} cache hits, {stats['resumed']} resumed, "
+             f"{stats['cache_hits']} cache hits, "
              f"{stats['lint_skipped']} lint-skipped, {stats['retried']} retried, "
              f"{failures} failed")
         if history is not None:

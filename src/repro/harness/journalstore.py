@@ -1,20 +1,17 @@
-"""Sharded campaign journals: per-shard checkpoint streams, their
-directory store, and cross-shard merge/resume.
+"""Sharded campaign journals: per-shard checkpoint logs, their
+directory store, and the cross-shard merge.
 
-The paper's 540-cell grid was measured across many Fugaku nodes, but
-the original checkpoint layer was a single per-process
-``journal.jsonl`` — a campaign sharded across nodes could not be
-resumed as a whole.  This module promotes the journal into a small
-subsystem:
+The paper's 540-cell grid was measured across many Fugaku nodes.  Each
+node's engine writes what it finished to a journal, and any node can
+fold the journals of every shard back into the full study result:
 
 :class:`CampaignJournal`
-    One append-only JSONL checkpoint stream.  Opening an existing
-    journal for resume **never truncates it**: records stay on disk at
-    every instant, closing the historical data-loss window where the
-    engine opened the journal with mode ``"w"`` and crashed before
-    re-persisting the replayed records.  Fresh headers are written via
-    temp file + ``os.replace`` so even a deliberate restart never
-    leaves a half-written journal behind.
+    One append-only JSONL log of a campaign shard's finished cells.
+    The engine writes it and never reads it: a killed campaign is
+    rerun on its cache dir, where every cell it finished is a
+    ``cells/`` hit.  A run's header goes through temp file +
+    ``os.replace``, so the previous journal stays intact until the new
+    one is durably in place.
 
 :func:`shard_cells` / :func:`shard_of`
     The deterministic shard assignment over canonical (benchmark-major)
@@ -31,14 +28,10 @@ subsystem:
     ``journal.jsonl``; shard ``i`` of ``N`` writes
     ``journal-<i>of<N>.jsonl`` next to it.
 
-:func:`open_journal`
-    The engine's resume procedure: replay the merged stream, open the
-    shard's journal append-only, and re-persist what it lacks.
-
 :func:`merge_journals` / :class:`MergedJournal`
     Folds any subset of shard journals — plus a legacy single
-    ``journal.jsonl`` — into one resumable completed-cell map, with
-    conflict detection: journals from different campaigns (fingerprint
+    ``journal.jsonl`` — into one completed-cell map, with conflict
+    detection: journals from different campaigns (fingerprint
     mismatch) and contradictory records for the same cell both raise
     :class:`~repro.errors.HarnessError` instead of silently mixing
     results.
@@ -58,11 +51,11 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
-from repro.atomicio import atomic_write, open_append
+from repro.atomicio import atomic_write
 from repro.errors import HarnessError
 from repro.harness.results import (
     FAILURE_STATUSES,
@@ -142,31 +135,20 @@ def shard_cells(
 
 
 class CampaignJournal:
-    """Append-only JSONL checkpoint of one campaign (shard)'s progress.
+    """Append-only JSONL log of one campaign (shard)'s finished cells.
 
     Line 1 is a header identifying the campaign (machine, the **full**
     campaign cell list, the shard this journal covers, and a
     fingerprint over everything that affects results); each completed
     cell appends one ``cell`` line, flushed immediately so a killed run
     loses at most the in-flight cells.  A final ``done`` line marks
-    clean completion of the shard; resuming a journal that already ends
-    in ``done`` and appending nothing leaves it byte-identical.
-    Partial trailing lines (from a kill mid-write) are ignored on load.
-
-    Resume safety: :meth:`start` with ``keep=True`` appends to a
-    matching existing journal instead of rewriting it — checkpointed
-    records never leave the disk, so there is no instant at which a
-    crash can lose them.  A fresh header (new campaign, or ``keep``
-    unset) goes through temp file + ``os.replace``, so the previous
-    journal file stays intact until the replacement is durable.
+    clean completion of the shard.  Partial trailing lines (from a kill
+    mid-write) are ignored on load.
     """
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._fh = None
-        #: The file ends in ``done`` and nothing was appended since:
-        #: :meth:`done` then writes no second marker.
-        self._finished = False
 
     # -- writing ---------------------------------------------------------
 
@@ -176,28 +158,11 @@ class CampaignJournal:
         machine: str,
         cells: Sequence[CellName],
         shard: "tuple[int, int] | None" = None,
-        keep: bool = False,
-    ) -> set[CellName]:
-        """Open the journal for appending; returns the cells it already
-        holds.
-
-        With ``keep=True`` and an existing journal whose header matches
-        ``fingerprint`` (the resume path), the file is opened in append
-        mode untouched and the set of already-checkpointed cell names
-        is returned — the caller must not re-persist those.  In every
-        other case a fresh header-only journal atomically replaces
-        whatever was there, and the empty set is returned.
-        """
+    ) -> None:
+        """Open a fresh journal for appending: a header-only file
+        atomically replaces whatever was there."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
         shard = validate_shard(shard)
-        self._finished = False
-        if keep:
-            loaded = self.load()
-            if loaded is not None and loaded[0].get("fingerprint") == fingerprint:
-                existing = {(r.benchmark, r.variant) for r in loaded[1]}
-                self._finished = loaded[2]
-                self._fh = open_append(self.path)
-                return existing
         header = {
             "kind": "header",
             "engine_version": ENGINE_VERSION,
@@ -208,17 +173,14 @@ class CampaignJournal:
         }
         atomic_write(self.path, json.dumps(header) + "\n")
         self._fh = open(self.path, "a")
-        return set()
 
     def append(self, record: RunRecord) -> None:
         if self._fh is not None:
             self._write({"kind": "cell", "record": record_to_dict(record)})
-            self._finished = False
 
     def done(self) -> None:
-        """Mark clean completion and close.  A resumed journal that
-        already ended in ``done`` and gained no record is left as is."""
-        if self._fh is not None and not self._finished:
+        """Mark clean completion and close."""
+        if self._fh is not None:
             self._write({"kind": "done"})
         self.close()
 
@@ -231,8 +193,8 @@ class CampaignJournal:
         assert self._fh is not None
         self._fh.write(json.dumps(doc) + "\n")
         # flush() hands the line to the kernel, which survives a killed
-        # process (the resume scenario); per-line fsync would only add
-        # OS-crash durability at ~3ms per cell.
+        # process; per-line fsync would only add OS-crash durability at
+        # ~3ms per cell.
         self._fh.flush()
 
     # -- reading ---------------------------------------------------------
@@ -300,7 +262,7 @@ class MergedJournal:
     machine: str
     #: The full campaign cell list, canonical order (from the headers).
     cells: tuple[CellName, ...]
-    #: Completed-cell map in canonical cell order — directly resumable.
+    #: Completed-cell map in canonical cell order.
     records: dict[CellName, RunRecord]
     #: Per-source coverage, in merge order.
     shards: tuple[ShardCoverage, ...] = ()
@@ -314,19 +276,17 @@ class MergedJournal:
         return not self.missing
 
 
-def merge_journals(
-    paths: Iterable["str | Path"],
-    expect_fingerprint: "str | None" = None,
-) -> "MergedJournal | None":
+def merge_journals(paths: Iterable["str | Path"]) -> "MergedJournal | None":
     """Fold any subset of shard journals into one completed-cell map.
 
     Accepts shard journals and legacy unsharded ``journal.jsonl`` files
     interchangeably.  Returns ``None`` when no readable journal is
     found.  Raises :class:`HarnessError` when the journals disagree on
-    the campaign fingerprint (or do not match ``expect_fingerprint``),
-    or when two journals carry *contradictory* records for the same
-    cell — identical duplicates (a cell checkpointed by several shards,
-    or re-journaled on resume) merge cleanly, first occurrence wins.
+    the campaign fingerprint, or when two journals carry
+    *contradictory* records for the same cell — identical duplicates (a
+    cell checkpointed by several shards, or by an unsharded rerun) merge
+    cleanly, first occurrence wins.  Only the cells of the header's
+    cell list are kept.
     """
     fingerprint: str | None = None
     machine = ""
@@ -342,8 +302,7 @@ def merge_journals(
             continue
         header, records, finished = loaded
         fp = header.get("fingerprint")
-        expected = expect_fingerprint if expect_fingerprint is not None else fingerprint
-        if expected is not None and fp != expected:
+        if fingerprint is not None and fp != fingerprint:
             raise HarnessError(
                 f"journal at {path} belongs to a different campaign "
                 f"(machine/benchmarks/variants/flags changed); delete it or "
@@ -391,7 +350,7 @@ def merge_journals(
         fingerprint=fingerprint,
         machine=machine,
         cells=cells,
-        # Canonical cell order for the resumable map.
+        # Canonical cell order.
         records={name: merged[name] for name in cells if name in merged},
         shards=tuple(shards),
     )
@@ -414,7 +373,7 @@ def merged_result(
         raise HarnessError(
             f"merged journals cover {len(merged.records)} of "
             f"{len(merged.cells)} cells; missing {preview}{more} — finish "
-            f"(or resume) the remaining shards, or pass allow_partial"
+            f"(or rerun) the remaining shards, or pass allow_partial"
         )
     result = CampaignResult(machine=merged.machine)
     for record in merged.records.values():
@@ -448,8 +407,8 @@ class DirectoryJournalStore:
 
     One journal exists per ``(campaign_fingerprint, shard i/N)``; the
     store hands out journals for writing and enumerates and merges
-    whatever subset is present for resume.  The unsharded journal is
-    the legacy ``journal.jsonl``; shard ``i`` of ``N`` lives in
+    whatever subset is present.  The unsharded journal is the legacy
+    ``journal.jsonl``; shard ``i`` of ``N`` lives in
     ``journal-<i>of<N>.jsonl``.  A directory shared over a parallel
     file system (the multi-node campaign case) needs no coordination:
     every shard appends only to its own file, and any node can merge
@@ -479,50 +438,5 @@ class DirectoryJournalStore:
             ordered.insert(0, legacy)
         return tuple(ordered)
 
-    def merge(
-        self, expect_fingerprint: "str | None" = None
-    ) -> "MergedJournal | None":
-        return merge_journals(self.journal_paths(), expect_fingerprint)
-
-
-def open_journal(
-    store: DirectoryJournalStore,
-    fingerprint: str,
-    machine: str,
-    cells: Sequence[CellName],
-    *,
-    shard: "tuple[int, int] | None" = None,
-    resume: bool = False,
-) -> "tuple[CampaignJournal, dict[CellName, RunRecord]]":
-    """Open shard ``shard``'s journal of a campaign; returns it with the
-    records that resume replays (canonical order, empty on a fresh start).
-
-    The engine's resume procedure.
-    With ``resume`` the *merged* stream of every journal in ``store`` is
-    replayed (raising :class:`HarnessError` when one belongs to another
-    campaign), so any node can pick the campaign back up; the shard's
-    own journal is opened append-only and re-persists the replayed
-    records it lacks, so it alone suffices for the next resume.  A
-    fresh start reads nothing and atomically replaces the journal with
-    a header-only one.  ``cells`` is the full campaign cell list; a
-    shard replays only its own slice of it.
-    """
-    shard = validate_shard(shard)
-    replayed: dict[CellName, RunRecord] = {}
-    if resume:
-        merged = store.merge(expect_fingerprint=fingerprint)
-        if merged is not None:
-            replayed = merged.records
-            if shard != (1, 1):
-                mine = set(shard_cells(cells, *shard))
-                replayed = {
-                    name: record
-                    for name, record in replayed.items()
-                    if name in mine
-                }
-    journal = store.journal(shard)
-    persisted = journal.start(fingerprint, machine, cells, shard=shard, keep=resume)
-    for name, record in replayed.items():
-        if name not in persisted:
-            journal.append(record)
-    return journal, replayed
+    def merge(self) -> "MergedJournal | None":
+        return merge_journals(self.journal_paths())

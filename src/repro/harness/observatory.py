@@ -82,7 +82,6 @@ class CampaignStatus:
     cache_hit_rate: "float | None" = None
     executed: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     retried: int = 0
 
     @property
@@ -126,10 +125,9 @@ def campaign_status(cache_dir: "str | Path") -> "CampaignStatus | None":
 
     executed = sum(s.executed for s in latest_by_shard.values())
     cache_hits = sum(s.cache_hits for s in latest_by_shard.values())
-    resumed = sum(s.resumed for s in latest_by_shard.values())
     retried = sum(s.retried for s in latest_by_shard.values())
-    decided = executed + cache_hits + resumed
-    hit_rate = (cache_hits + resumed) / decided if decided else None
+    decided = executed + cache_hits
+    hit_rate = cache_hits / decided if decided else None
 
     throughput = None
     if latest_by_shard:
@@ -161,7 +159,6 @@ def campaign_status(cache_dir: "str | Path") -> "CampaignStatus | None":
         cache_hit_rate=hit_rate,
         executed=executed,
         cache_hits=cache_hits,
-        resumed=resumed,
         retried=retried,
     )
 

@@ -190,9 +190,7 @@ class CampaignResult:
             raise HarnessError(
                 f"duplicate record for benchmark {record.benchmark!r} "
                 f"variant {record.variant!r} on machine {self.machine!r}; "
-                f"if you are re-running an interrupted campaign, pass "
-                f"--resume (CampaignConfig(resume=True)) to skip already-"
-                f"completed cells instead of re-adding them"
+                f"a campaign result holds one record per cell"
             )
         self.records[key] = record
 

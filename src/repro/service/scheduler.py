@@ -248,14 +248,21 @@ class CampaignScheduler:
         """Resubmit every registry entry a restart must pick back up.
 
         Each reruns like a new campaign; the cells it finished before
-        the restart are ``cells/`` hits."""
+        the restart are ``cells/`` hits.  An entry whose spec no longer
+        resolves (a benchmark removed since it was accepted) is marked
+        ``failed`` with the reason, and the others still run."""
         resumed = []
         for cid, entry in self.registry.resumable().items():
             seq = _seq_of(cid)
             if seq is not None:
                 self._seq = max(self._seq, seq)
-            spec = spec_from_dict(entry["spec"])
-            resumed.append(self.submit(spec, campaign_id=cid))
+            try:
+                spec = spec_from_dict(entry.get("spec"))
+                resumed.append(self.submit(spec, campaign_id=cid))
+            except ServiceError as exc:
+                self.registry.upsert(
+                    cid, {**entry, "state": STATE_FAILED, "error": str(exc)})
+                continue
             telemetry.count("service.campaigns_resumed")
         return resumed
 

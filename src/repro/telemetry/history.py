@@ -14,8 +14,9 @@ discipline, applied to metrics.
 The file is a *multi-run* series: every engine run appends a fresh
 ``run`` header line followed by its samples, so repeated campaigns
 against one cache dir accumulate a trend history.  A fingerprint
-change (different campaign) atomically replaces the file, mirroring
-:meth:`repro.harness.journalstore.CampaignJournal.start`.
+change (different campaign) atomically replaces the file, the way
+:meth:`repro.harness.journalstore.CampaignJournal.start` writes every
+run's journal.
 
 Write failures follow the PR 5 cache-write contract: never raised,
 never swallowed silently — logged through stdlib ``logging``, counted
@@ -72,7 +73,6 @@ class HistorySample:
     total: int
     executed: int
     cache_hits: int
-    resumed: int
     failures: int
     retried: int
     #: Completed cells per second of elapsed wall-clock.
@@ -80,8 +80,8 @@ class HistorySample:
     #: Remaining / throughput; ``None`` before the first completion
     #: and after the last.
     eta_s: "float | None"
-    #: Cells satisfied without execution / cells decided so far
-    #: (cache hits + resumed) / (cache hits + resumed + executed).
+    #: Cells satisfied without execution / cells decided so far:
+    #: cache hits / (cache hits + executed).
     cache_hit_rate: "float | None"
     #: What completion produced this sample (an EventKind value).
     event: str = ""
@@ -102,7 +102,6 @@ class HistorySample:
             "total": self.total,
             "executed": self.executed,
             "cache_hits": self.cache_hits,
-            "resumed": self.resumed,
             "failures": self.failures,
             "retried": self.retried,
             "throughput_cps": self.throughput_cps,
@@ -125,7 +124,6 @@ class HistorySample:
             total=int(doc.get("total", 0)),
             executed=int(doc.get("executed", 0)),
             cache_hits=int(doc.get("cache_hits", 0)),
-            resumed=int(doc.get("resumed", 0)),
             failures=int(doc.get("failures", 0)),
             retried=int(doc.get("retried", 0)),
             throughput_cps=float(doc.get("throughput_cps", 0.0)),

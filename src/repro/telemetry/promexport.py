@@ -36,16 +36,15 @@ _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 #: generic line naming the source instrument.
 _HELP = {
     "engine.cells_executed": "Cells executed (cache misses) by the campaign engine.",
-    "engine.cache_hits": "Cells satisfied from the content-addressed cell cache.",
-    "engine.cells_resumed": "Cells replayed from the campaign journal on resume.",
+    "cell_cache.hit": "Cells satisfied from the content-addressed cell cache.",
     "engine.cell_retries": "Cell attempts retried after a transient fault.",
     "engine.cell_timeouts": "Cell attempts cancelled by the per-cell wall-clock budget.",
-    "engine.progress.completed": "Cells completed so far (executed + cached + resumed).",
+    "engine.progress.completed": "Cells completed so far (executed + cached + lint-skipped).",
     "engine.progress.total": "Cells this engine invocation is responsible for.",
     "engine.workers": "Worker processes configured for the campaign.",
     "engine.throughput_cps": "Completed cells per second of campaign wall-clock.",
     "engine.eta_s": "Estimated seconds until the remaining cells complete.",
-    "engine.cache_hit_rate": "Cache hits + resumed over all cells decided so far.",
+    "engine.cache_hit_rate": "Cache hits over cache hits + executed cells so far.",
     "runner.cells": "Cells measured by the runner.",
     "runner.perf_runs": "Performance-model evaluations performed.",
     "runner.failed_cells": "Cells that ended in a failure status.",

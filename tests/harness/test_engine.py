@@ -1,11 +1,11 @@
 """Tests for the parallel campaign engine: cache keys, persistent
-caching, journal/resume, and parallel-vs-serial equivalence."""
+caching, the journal, reruns after a kill, and parallel-vs-serial
+equivalence."""
 
 import dataclasses
 import json
 import os
 import pickle
-import shutil
 import subprocess
 import sys
 
@@ -79,8 +79,8 @@ class TestCacheKeys:
         # Regression: Kernel.features is a frozenset, which iterates in
         # hash order — per-process under hash randomization.  A
         # repr-derived fingerprint therefore changed between interpreter
-        # runs, breaking --resume and cross-process cache hits.  Pin
-        # stability by recomputing under two different hash seeds.
+        # runs, breaking cross-process cache hits.  Pin stability by
+        # recomputing under two different hash seeds.
         prog = (
             "from repro.harness.engine import CampaignEngine, cell_cache_key\n"
             "e = CampaignEngine()\n"
@@ -216,9 +216,8 @@ class TestJournalResume:
 
         with pytest.raises(_StopRun):
             self._engine(a64fx_machine, tmp_path).run(emit=killer)
-        # ...wipe the cell cache so only the journal can restore them...
-        shutil.rmtree(tmp_path / "cells")
-        # ...and resume: the 6 journaled cells are replayed, not re-run.
+        # ...and rerun: the 6 finished cells come from cells/, not from
+        # a second execution.
         calls = []
         import repro.harness.runner as runner_mod
 
@@ -229,9 +228,10 @@ class TestJournalResume:
             return real(*args, **kwargs)
 
         monkeypatch.setattr("repro.harness.runner.measure_benchmark", counting)
-        resumed = self._engine(a64fx_machine, tmp_path, resume=True).run()
-        assert resumed.meta["resumed"] == 6
+        resumed = self._engine(a64fx_machine, tmp_path).run()
+        assert resumed.meta["cache_hits"] == 6
         total = len(resumed.records)
+        assert resumed.meta["executed"] == total - 6
         assert len(calls) == total - 6
         # The final result is identical to an uninterrupted run.
         fresh = CampaignEngine(
@@ -254,20 +254,25 @@ class TestJournalResume:
         first = engine().run()
         journal = tmp_path / "journal.jsonl"
         finished = journal.read_bytes()
-        again = engine(resume=True).run()
-        assert again.meta["resumed"] == 1
+        again = engine().run()
+        assert again.meta["cache_hits"] == 1
         assert again.records == first.records
         assert journal.read_bytes() == finished
 
     def test_resume_rejects_foreign_journal(self, a64fx_machine, tmp_path):
+        # Another campaign's run replaces the journal; the two are
+        # never mixed.
         self._engine(a64fx_machine, tmp_path).run()
         other = CampaignEngine(
             a64fx_machine, variants=("LLVM",),
             benchmarks=micro_suite().benchmarks[:1],
-            cache_dir=tmp_path, resume=True,
+            cache_dir=tmp_path,
         )
-        with pytest.raises(HarnessError, match="different campaign"):
-            other.run()
+        result = other.run()
+        header, records, finished = CampaignJournal(
+            tmp_path / "journal.jsonl").load()
+        assert header["fingerprint"] == other.campaign_fingerprint()
+        assert records == list(result.records.values()) and finished
 
     def test_truncated_trailing_line_tolerated(self, tmp_path):
         journal = CampaignJournal(tmp_path / "journal.jsonl")
@@ -286,10 +291,12 @@ class TestJournalResume:
         engine = CampaignEngine(
             a64fx_machine, variants=("GNU",),
             benchmarks=micro_suite().benchmarks[:2],
-            cache_dir=tmp_path, resume=True,
+            cache_dir=tmp_path,
         )
-        result = engine.run()  # resume requested, nothing to resume from
-        assert result.meta["resumed"] == 0
+        result = engine.run()
+        assert result.meta["cache_hits"] == 0
+        assert result.meta["executed"] == 2
+        assert "resumed" not in result.meta
         assert len(result.records) == 2
 
 
@@ -583,7 +590,8 @@ class TestCellCacheCorruption:
 
 
 class TestJournalReplayEvents:
-    """Satellite: _replay_journal emits the documented event sequence."""
+    """A rerun announces the cells ``cells/`` answers as the documented
+    event sequence."""
 
     def test_resumed_cells_emit_cache_hits_in_canonical_order(
         self, a64fx_machine, tmp_path, monkeypatch
@@ -592,17 +600,12 @@ class TestJournalReplayEvents:
         args = dict(variants=("GNU", "LLVM"), benchmarks=benches,
                     cache_dir=tmp_path)
         first = CampaignEngine(a64fx_machine, **args).run()
-        # Pretend the run was interrupted: reopen the journal (drop the
-        # "finished" marker) and wipe the cell cache so only the journal
-        # can restore the cells.
-        journal_path = tmp_path / "journal.jsonl"
-        lines = journal_path.read_text().splitlines()
-        assert json.loads(lines[-1])["kind"] == "done"
-        journal_path.write_text("\n".join(lines[:-1]) + "\n")
-        shutil.rmtree(tmp_path / "cells")
+        # The journal is a log the engine never reads: without it the
+        # rerun is answered from cells/ all the same.
+        (tmp_path / "journal.jsonl").unlink()
 
         events = []
-        resumed = CampaignEngine(a64fx_machine, resume=True, **args).run(
+        resumed = CampaignEngine(a64fx_machine, **args).run(
             emit=events.append
         )
         assert resumed.records == first.records
@@ -614,9 +617,8 @@ class TestJournalReplayEvents:
         assert kinds[-1] == EventKind.CAMPAIGN_FINISHED
         replayed = events[1:1 + n]
         assert all(e.from_cache for e in replayed)
-        assert all(e.message == "resumed from journal" for e in replayed)
-        # Replay follows the canonical (benchmark-major) cell order and
-        # keeps the completed counter monotone.
+        # Hits follow the canonical (benchmark-major) cell order and
+        # keep the completed counter monotone.
         assert [(e.benchmark, e.variant) for e in replayed] == list(first.records)
         assert [e.completed for e in replayed] == list(range(1, n + 1))
         assert all(e.total == n for e in events)
@@ -626,9 +628,10 @@ class TestJournalReplayEvents:
         CampaignEngine(
             a64fx_machine, variants=("GNU",),
             benchmarks=micro_suite().benchmarks[:1],
-            cache_dir=tmp_path, resume=True,
+            cache_dir=tmp_path,
         ).run(emit=events.append)
-        assert not any(e.message == "resumed from journal" for e in events)
+        assert not any(e.kind is EventKind.CACHE_HIT or e.from_cache
+                       for e in events)
 
 
 class TestTelemetryMergeAcrossWorkers:

@@ -3,7 +3,6 @@ taxonomy, seed-stable plans, the retrying runner, and the engine's
 chaos behavior (worker loss, cache faults, timeouts, degradation)."""
 
 import json
-import shutil
 
 import pytest
 
@@ -478,13 +477,13 @@ class TestEngineChaos:
         middle = len(lines) // 2
         lines[middle] = lines[middle][: len(lines[middle]) // 2]
         journal_path.write_text("\n".join(lines[:-2]) + "\n" + lines[-2][:10])
-        # Wipe the cell cache so only the journal can restore cells.
-        shutil.rmtree(tmp_path / "cells")
-        resumed = self._engine(
-            a64fx_machine, cache_dir=tmp_path, resume=True
-        ).run()
-        assert resumed.records == clean.records
-        assert resumed.meta["resumed"] > 0
+        # The rerun never reads the rotted journal: cells/ answers
+        # every cell, and a whole journal replaces the rotted one.
+        rerun = self._engine(a64fx_machine, cache_dir=tmp_path).run()
+        assert rerun.records == clean.records
+        assert rerun.meta["cache_hits"] == len(clean.records)
+        _, journaled, finished = CampaignJournal(journal_path).load()
+        assert journaled == list(clean.records.values()) and finished
 
     def test_engine_validates_resilience_options(self, a64fx_machine):
         with pytest.raises(HarnessError):

@@ -1,11 +1,10 @@
 """Tests for the sharded journal store: deterministic shard
-assignment, append-only resume safety (the truncate-then-rewrite
-data-loss fix), the finished-journal replay rule, cross-shard merge,
-failed cache writes, and the serial-vs-sharded equality contract."""
+assignment, the journal's format, cross-shard merge, reruns of killed
+shards from the cell cache, failed cache writes, and the
+serial-vs-sharded equality contract."""
 
 import dataclasses
 import json
-import shutil
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.harness.journalstore import (
     DirectoryJournalStore,
     merge_journals,
     merged_result,
-    open_journal,
     shard_cells,
     shard_journal_name,
     shard_of,
@@ -98,47 +96,7 @@ class TestShardAssignment:
 
 
 class TestAppendOnlyJournal:
-    """The data-loss fix: an existing journal is never truncated."""
-
-    def test_keep_returns_existing_and_preserves_records(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CampaignJournal(path)
-        journal.start("fp", "A64FX", [("s.a", "GNU"), ("s.b", "GNU")])
-        journal.append(_record("s.a", "GNU"))
-        journal.close()
-
-        again = CampaignJournal(path)
-        existing = again.start("fp", "A64FX", [("s.a", "GNU"), ("s.b", "GNU")],
-                               keep=True)
-        assert existing == {("s.a", "GNU")}
-        # The old record is still on disk before anything is written.
-        assert b'"s.a"' in path.read_bytes()
-        again.append(_record("s.b", "GNU"))
-        again.done()
-        header, records, finished = CampaignJournal(path).load()
-        assert [(r.benchmark, r.variant) for r in records] == [
-            ("s.a", "GNU"), ("s.b", "GNU")]
-        assert finished
-
-    def test_resuming_a_finished_journal_writes_no_second_done(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CampaignJournal(path)
-        journal.start("fp", "A64FX", [("s.a", "GNU")])
-        journal.append(_record("s.a", "GNU"))
-        journal.done()
-        finished = path.read_bytes()
-
-        again = CampaignJournal(path)
-        again.start("fp", "A64FX", [("s.a", "GNU")], keep=True)
-        again.done()
-        assert path.read_bytes() == finished
-        # A record appended after the old marker earns a new one.
-        again = CampaignJournal(path)
-        again.start("fp", "A64FX", [("s.a", "GNU")], keep=True)
-        again.append(_record("s.b", "GNU"))
-        again.done()
-        assert path.read_text().splitlines()[-1] == '{"kind": "done"}'
-        assert CampaignJournal(path).load()[2]
+    """The journal's format: a header, one line per cell, a done marker."""
 
     def test_record_after_done_is_not_finished(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -149,36 +107,6 @@ class TestAppendOnlyJournal:
             fh.write('{"kind": "cell", "record": %s}\n'
                      % json.dumps(record_to_dict(_record("s.a", "GNU"))))
         assert not CampaignJournal(path).load()[2]
-
-    def test_keep_with_foreign_fingerprint_starts_fresh(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CampaignJournal(path)
-        journal.start("old-fp", "A64FX", [("s.a", "GNU")])
-        journal.append(_record("s.a", "GNU"))
-        journal.close()
-        existing = CampaignJournal(path).start(
-            "new-fp", "A64FX", [("s.a", "GNU")], keep=True)
-        assert existing == set()
-        header, records, _ = CampaignJournal(path).load()
-        assert header["fingerprint"] == "new-fp" and records == []
-
-    def test_append_after_truncated_trailing_line(self, tmp_path):
-        # A kill mid-write leaves a partial line with no newline; the
-        # next append must start a fresh line, not extend the garbage.
-        path = tmp_path / "journal.jsonl"
-        journal = CampaignJournal(path)
-        journal.start("fp", "A64FX", [("s.a", "GNU"), ("s.b", "GNU")])
-        journal.append(_record("s.a", "GNU"))
-        journal.close()
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "record": {"benchm')
-        again = CampaignJournal(path)
-        assert again.start("fp", "A64FX", [], keep=True) == {("s.a", "GNU")}
-        again.append(_record("s.b", "GNU"))
-        again.close()
-        _header, records, _ = CampaignJournal(path).load()
-        assert [(r.benchmark, r.variant) for r in records] == [
-            ("s.a", "GNU"), ("s.b", "GNU")]
 
     def test_header_carries_shard_and_cells(self, tmp_path):
         journal = CampaignJournal(tmp_path / "journal-2of3.jsonl")
@@ -191,10 +119,13 @@ class TestAppendOnlyJournal:
 
     def test_positional_compatibility(self, tmp_path):
         # Pre-shard callers pass (fingerprint, machine, cells)
-        # positionally and expect a fresh journal.
+        # positionally and get a fresh unsharded journal.
         journal = CampaignJournal(tmp_path / "journal.jsonl")
-        assert journal.start("fp", "A64FX", [("s.b", "GNU")]) == set()
+        journal.start("fp", "A64FX", [("s.b", "GNU")])
         journal.close()
+        header, records, finished = CampaignJournal(journal.path).load()
+        assert header["shard"] == [1, 1] and header["fingerprint"] == "fp"
+        assert records == [] and not finished
 
 
 class TestMerge:
@@ -251,8 +182,6 @@ class TestMerge:
         self._write_shard(tmp_path, 2, 2, cells, [], fingerprint="fp-two")
         with pytest.raises(HarnessError, match="different campaign"):
             DirectoryJournalStore(tmp_path).merge()
-        with pytest.raises(HarnessError, match="different campaign"):
-            DirectoryJournalStore(tmp_path).merge(expect_fingerprint="fp-two")
 
     def test_merge_empty_store(self, tmp_path):
         assert DirectoryJournalStore(tmp_path).merge() is None
@@ -273,16 +202,16 @@ class TestMerge:
 
 class TestOpenJournal:
     def test_resume_replays_only_the_header_cells(self, tmp_path):
+        # A merge keeps only the cells of the header's cell list.
         cells = [("s.a", "GNU"), ("s.b", "GNU")]
         journal = CampaignJournal(tmp_path / "journal.jsonl")
         journal.start("fp", "A64FX", cells)
         journal.append(_record("s.a", "GNU"))
         journal.append(_record("s.c", "GNU"))
         journal.close()
-        journal, replayed = open_journal(
-            DirectoryJournalStore(tmp_path), "fp", "A64FX", cells, resume=True)
-        journal.close()
-        assert list(replayed) == [("s.a", "GNU")]
+        merged = DirectoryJournalStore(tmp_path).merge()
+        assert list(merged.records) == [("s.a", "GNU")]
+        assert merged.missing == (("s.b", "GNU"),)
 
 
 class _Boom(Exception):
@@ -321,34 +250,34 @@ class TestShardedEngine:
                 == json.loads(baseline.to_json())["records"])
 
     def test_any_node_resumes_the_whole_sweep(self, a64fx_machine, tmp_path):
-        # Shard 1 ran to completion elsewhere; an unsharded resume on
-        # this "node" replays it from the merged stream and executes
-        # only the remainder.
+        # Shard 1 ran to completion into the shared cache dir; an
+        # unsharded rerun there answers its cells from cells/ and
+        # executes only the remainder.
         self._engine(a64fx_machine, cache_dir=tmp_path, shard=(1, 2)).run()
-        shutil.rmtree(tmp_path / "cells")  # only the journals can restore shard 1
-        resumed = self._engine(a64fx_machine, cache_dir=tmp_path,
-                               resume=True).run()
+        rerun = self._engine(a64fx_machine, cache_dir=tmp_path).run()
         baseline = self._engine(a64fx_machine).run()
-        assert resumed.records == baseline.records
+        assert rerun.records == baseline.records
         shard1 = len(shard_cells(list(baseline.records), 1, 2))
-        assert resumed.meta["resumed"] == shard1
-        assert resumed.meta["executed"] == len(baseline.records) - shard1
+        assert rerun.meta["cache_hits"] == shard1
+        assert rerun.meta["executed"] == len(baseline.records) - shard1
 
     def test_shard_resumes_its_own_journal(self, a64fx_machine, tmp_path):
         first = self._engine(a64fx_machine, cache_dir=tmp_path,
                              shard=(2, 2)).run()
-        shutil.rmtree(tmp_path / "cells")
-        again = self._engine(a64fx_machine, cache_dir=tmp_path, shard=(2, 2),
-                             resume=True).run()
+        again = self._engine(a64fx_machine, cache_dir=tmp_path,
+                             shard=(2, 2)).run()
         assert again.records == first.records
         assert again.meta["executed"] == 0
-        assert again.meta["resumed"] == len(first.records)
+        assert again.meta["cache_hits"] == len(first.records)
+        _, journaled, finished = CampaignJournal(
+            tmp_path / "journal-2of2.jsonl").load()
+        assert journaled == list(first.records.values()) and finished
 
     def test_kill_between_start_and_replay_loses_nothing(
             self, a64fx_machine, tmp_path, monkeypatch):
-        """Regression for the truncate-then-rewrite window: the old
-        ``start`` opened the journal with mode "w", so a crash right
-        after it lost every checkpointed record."""
+        """A run killed right after its journal's fresh header loses no
+        finished cell: they live in ``cells/``, and the next rerun
+        answers every one of them from there."""
         self._engine(a64fx_machine, cache_dir=tmp_path).run()
         path = tmp_path / "journal.jsonl"
         _, records_before, _ = CampaignJournal(path).load()
@@ -358,20 +287,23 @@ class TestShardedEngine:
 
         def crash_right_after_start(self, *args, **kwargs):
             real_start(self, *args, **kwargs)
-            raise _Boom("killed between journal open and re-persist")
+            raise _Boom("killed right after the journal header")
 
         monkeypatch.setattr(CampaignJournal, "start", crash_right_after_start)
         with pytest.raises(_Boom):
-            self._engine(a64fx_machine, cache_dir=tmp_path, resume=True).run()
+            self._engine(a64fx_machine, cache_dir=tmp_path).run()
         monkeypatch.undo()
 
+        rerun = self._engine(a64fx_machine, cache_dir=tmp_path).run()
+        assert rerun.meta["executed"] == 0
+        assert rerun.meta["cache_hits"] == len(records_before)
         _, records_after, _ = CampaignJournal(path).load()
-        assert len(records_after) == len(records_before)  # nothing lost
+        assert records_after == records_before  # nothing lost
 
     def test_fresh_run_still_replaces_journal_atomically(
             self, a64fx_machine, tmp_path):
-        # Without --resume a new campaign replaces the journal; the old
-        # file stays intact until the new header is durably in place.
+        # Every run replaces the journal; the old file stays intact
+        # until the new header is durably in place.
         self._engine(a64fx_machine, cache_dir=tmp_path).run()
         result = self._engine(a64fx_machine, cache_dir=tmp_path).run()
         _, records, finished = CampaignJournal(tmp_path / "journal.jsonl").load()

@@ -45,7 +45,7 @@ def _record(name="micro.k01", variant="GNU", status=STATUS_OK):
 def _sample(t=1.0, completed=1, total=4, **kw):
     defaults = dict(
         t=t, elapsed_s=t, completed=completed, total=total,
-        executed=completed, cache_hits=0, resumed=0, failures=0,
+        executed=completed, cache_hits=0, failures=0,
         retried=0, throughput_cps=completed / t, eta_s=None,
         cache_hit_rate=None,
     )
@@ -106,7 +106,7 @@ class TestCampaignStatus:
         _engine(a64fx_machine, cache_dir=tmp_path,
                 telemetry=Telemetry()).run()
         _engine(a64fx_machine, cache_dir=tmp_path,
-                telemetry=Telemetry()).run()  # all cells resume
+                telemetry=Telemetry()).run()  # every cell a cache hit
         status = campaign_status(tmp_path)
         assert status is not None
         assert status.cache_hit_rate == pytest.approx(1.0)

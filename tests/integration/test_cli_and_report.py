@@ -50,6 +50,12 @@ class TestCli:
         loaded = CampaignResult.load(out_path)
         assert len(loaded.records) == 540
 
+    def test_run_resume_is_gone(self, capsys):
+        # A killed campaign is rerun on its cache dir: nothing to resume.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--resume"])
+        assert exit_info.value.code == 2
+
     def test_report_exit_zero_when_all_pass(self, capsys, tmp_path):
         out_path = tmp_path / "EXP.md"
         assert main(["report", "--out", str(out_path)]) == 0

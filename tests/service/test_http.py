@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.service import CampaignService
+from repro.service.registry import ServiceRegistry
 from repro.telemetry.promexport import validate_exposition
 
 SPEC = {
@@ -197,6 +198,23 @@ class TestServiceLifecycle:
             assert request(svc, "GET", "/healthz")[0] == 200
         finally:
             svc.stop(graceful=False)
+
+    def test_stale_registry_entry_fails_alone(self, tmp_path):
+        # A campaign accepted before its benchmark left the registry
+        # must not stop every later start on this cache dir.
+        registry = ServiceRegistry(tmp_path / "service" / "campaigns.json")
+        stale = dict(SPEC, benchmarks=["polybench.no_such_kernel"])
+        registry.upsert("c0001-stale000", {"spec": stale, "state": "running"})
+        registry.upsert("c0002-valid000", {"spec": SPEC, "state": "queued"})
+        svc = CampaignService(tmp_path, workers=0).start()
+        try:
+            final = wait_terminal(svc, "c0002-valid000")
+            assert final["state"] == "finished"
+        finally:
+            svc.stop(graceful=False)
+        entry = ServiceRegistry(registry.path).load()["c0001-stale000"]
+        assert entry["state"] == "failed"
+        assert "no benchmark 'no_such_kernel'" in entry["error"]
 
     def test_two_services_never_collide(self, tmp_path):
         a = CampaignService(tmp_path / "a", workers=0).start()

@@ -31,7 +31,7 @@ from repro.telemetry.promexport import metric_name
 def _sample(t=1.0, completed=1, total=4, **kw):
     defaults = dict(
         t=t, elapsed_s=t, completed=completed, total=total, executed=completed,
-        cache_hits=0, resumed=0, failures=0, retried=0,
+        cache_hits=0, failures=0, retried=0,
         throughput_cps=completed / t, eta_s=None, cache_hit_rate=None,
     )
     defaults.update(kw)
@@ -186,6 +186,11 @@ class TestHistoryFileNames:
 
 
 class TestCampaignHistory:
+    def test_sample_with_a_resumed_count_still_loads(self):
+        # Older history files carry a ``resumed`` count per sample.
+        doc = dict(_sample().to_dict(), resumed=3)
+        assert HistorySample.from_dict(doc) == _sample()
+
     def test_round_trip(self, tmp_path):
         hist = CampaignHistory(tmp_path / "history.jsonl")
         assert hist.start("fp-1", (1, 1))
@@ -428,6 +433,21 @@ class TestPromExport:
         reg.observe("engine.cell_s", 0.1)
         text = render_prometheus(reg, labels={"shard": "2of4"})
         assert validate_exposition(text) == []
+
+    def test_warm_cache_hits_carry_their_help_line(self, a64fx_machine, tmp_path):
+        def engine(tel):
+            return CampaignEngine(a64fx_machine, variants=("GNU",),
+                                  benchmarks=micro_suite().benchmarks[:2],
+                                  cache_dir=tmp_path, telemetry=tel)
+
+        engine(Telemetry()).run()
+        tel = Telemetry()
+        assert engine(tel).run().meta["cache_hits"] == 2
+        text = render_prometheus(tel.metrics)
+        assert ("# HELP a64fx_cell_cache_hit_total Cells satisfied from "
+                "the content-addressed cell cache.") in text
+        assert "a64fx_cell_cache_hit_total 2" in text
+        assert "resumed" not in text
 
     def test_snapshot_dict_renders_identically(self):
         reg = MetricsRegistry()

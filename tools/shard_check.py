@@ -7,16 +7,18 @@ Runs the same campaign four ways and asserts the sharding contract:
 2. shard 1/2 and shard 2/2 (into one shared cache dir) together cover
    the whole grid, disjointly;
 3. killing shard 2 mid-run loses none of its checkpointed cells — the
-   merge reports exactly the missing remainder, and a ``--resume`` of
-   the same shard executes only that remainder;
+   merge reports exactly the missing remainder, and a rerun of the same
+   shard on the shared cache dir answers the finished cells from
+   ``cells/`` and executes only that remainder;
 4. the merged result is record-for-record — and JSON-byte — identical
-   to the baseline, and an *unsharded* resume against the shard
-   journals replays the full campaign without executing a single cell.
+   to the baseline, and an *unsharded* rerun on the shared cache dir
+   reproduces the full campaign from ``cells/`` without executing a
+   single cell.
 
 Writes a JSON report (``--out``, default ``shard-report.json``) and
 exits non-zero on the first broken assertion.  CI runs this as the
-``shard-resume`` job; run it locally after touching the engine or the
-journal store::
+``shard`` gate of ``tools/ci_gauntlet.py``; run it locally after
+touching the engine or the journal store::
 
     python tools/shard_check.py --out shard-report.json
 """
@@ -133,17 +135,17 @@ def main(argv: "list[str] | None" = None) -> int:
                f"merge reports the {len(merged.missing)} unfinished cells, "
                "all on the killed shard", failures)
 
-        # -- resume the killed shard ----------------------------------------
-        say("section", "resume shard 2/2:")
-        s2 = CampaignSession(base.with_(
-            cache_dir=cache, shard=(2, 2), resume=True)).run()
+        # -- rerun the killed shard -----------------------------------------
+        say("section", "rerun shard 2/2:")
+        s2 = CampaignSession(base.with_(cache_dir=cache, shard=(2, 2))).run()
+        hits2 = s2.meta.get("cache_hits", 0)
         _check(say, set(s2.records) == own2,
-               f"resumed shard covers all {len(own2)} assigned cells", failures)
-        _check(say, s2.meta.get("resumed", 0) >= KILL_AFTER,
-               f"resume replayed the checkpointed cells "
-               f"({s2.meta.get('resumed', 0)})", failures)
-        _check(say, s2.meta.get("executed", 0) == len(own2) - s2.meta.get("resumed", 0),
-               "resume executed only the remainder", failures)
+               f"rerun shard covers all {len(own2)} assigned cells", failures)
+        _check(say, hits2 >= KILL_AFTER,
+               f"rerun answered the finished cells from the cell cache "
+               f"({hits2})", failures)
+        _check(say, s2.meta.get("executed", 0) == len(own2) - hits2,
+               "rerun executed only the remainder", failures)
 
         # -- merge and compare ----------------------------------------------
         say("section", "merge:")
@@ -158,24 +160,22 @@ def main(argv: "list[str] | None" = None) -> int:
         _check(say, _records_json(full) == _records_json(baseline),
                "merged records serialize byte-identically", failures)
 
-        # -- any node resumes the whole sweep -------------------------------
-        say("section", "unsharded resume from shard journals:")
-        for p in (cache / "cells").glob("*.json"):
-            p.unlink()  # only the journals can restore the records
-        resumed = CampaignSession(base.with_(cache_dir=cache, resume=True)).run()
-        _check(say, resumed.records == baseline.records,
-               "unsharded resume reproduces the baseline", failures)
-        _check(say, resumed.meta.get("executed", 1) == 0
-               and resumed.meta.get("resumed", 0) == len(cells),
-               f"unsharded resume replayed all {len(cells)} cells without "
-               "executing any", failures)
+        # -- any node reruns the whole sweep --------------------------------
+        say("section", "unsharded rerun on the shared cache dir:")
+        rerun = CampaignSession(base.with_(cache_dir=cache)).run()
+        _check(say, rerun.records == baseline.records,
+               "unsharded rerun reproduces the baseline", failures)
+        _check(say, rerun.meta.get("executed", 1) == 0
+               and rerun.meta.get("cache_hits", 0) == len(cells),
+               f"unsharded rerun answered all {len(cells)} cells from the "
+               "cell cache without executing any", failures)
 
         elapsed = time.monotonic() - t0
         report = {
             "cells": len(cells),
             "shards": 2,
             "killed_after": KILL_AFTER,
-            "resumed": s2.meta.get("resumed"),
+            "cache_hits_after_kill": hits2,
             "executed_after_kill": s2.meta.get("executed"),
             "elapsed_s": round(elapsed, 3),
             "broken": failures,
@@ -190,7 +190,7 @@ def main(argv: "list[str] | None" = None) -> int:
             say("fail", f"{len(failures)} shard assertion(s) broken",
                 level="error", broken=len(failures))
             return 1
-        say("pass", "shard gate: merge and resume are loss-free "
+        say("pass", "shard gate: merge and rerun are loss-free "
             "and bit-identical")
         return 0
 
